@@ -3,9 +3,10 @@
 // The paper (§2.3) cautions that an unstructured-pruned network "may not
 // be arranged in a fashion conducive to speedups using modern libraries
 // and hardware" — theoretical speedup (madds ratio) is a proxy. This bench
-// times the dense GEMM-based kernels against CSR sparse kernels for conv
-// and linear layers across sparsity levels and reports the crossover: the
-// sparsity below which "N× theoretical speedup" delivers <1× wall-clock.
+// compiles one-layer conv and linear models with the serving compiler and
+// times the Dense executor (GEMM kernels) against the Csr executor (CSR
+// kernels) across sparsity levels, reporting the crossover: the sparsity
+// below which "N× theoretical speedup" delivers <1× wall-clock.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -15,7 +16,9 @@
 #include "nn/init.hpp"
 #include "metrics/storage.hpp"
 #include "models/zoo.hpp"
-#include "nn/sparse.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "serve/executor.hpp"
 
 using namespace shrinkbench;
 
@@ -37,6 +40,30 @@ void apply_sparsity(Parameter& p, double sparsity, Rng& rng) {
   p.apply_mask();
 }
 
+// Sweeps the weight of a one-layer model over the sparsity levels,
+// timing its Dense executor (GEMM kernels) against its Csr executor (CSR
+// kernels) at each, and prints a table plus appends CSV rows.
+void sweep(const std::string& kernel, Sequential& model, Parameter& weight, const Shape& sample,
+           const Tensor& x, int reps, Rng& rng, std::vector<std::vector<std::string>>& csv) {
+  report::Table table({kernel + " sparsity", "theoretical speedup", "dense ms", "sparse ms",
+                       "wall-clock speedup"});
+  for (const double sparsity : {0.0, 0.5, 0.75, 0.9, 0.97, 0.99}) {
+    apply_sparsity(weight, sparsity, rng);
+    const serve::Executor dense = serve::compile(model, sample, serve::ExecMode::Dense);
+    const serve::Executor sparse = serve::compile(model, sample, serve::ExecMode::Csr);
+    const double dense_time = time_seconds([&] { dense.forward(x); }, reps);
+    const double sparse_time = time_seconds([&] { sparse.forward(x); }, reps);
+    const double theoretical = 1.0 / std::max(1e-9, 1.0 - sparsity);
+    const double wallclock = dense_time / sparse_time;
+    table.add_row({report::Table::num(sparsity, 2), report::Table::num(theoretical, 1),
+                   report::Table::num(dense_time * 1e3, 3),
+                   report::Table::num(sparse_time * 1e3, 3), report::Table::num(wallclock, 2)});
+    csv.push_back({model.name(), report::Table::num(sparsity, 2),
+                   report::Table::num(theoretical, 2), report::Table::num(wallclock, 3)});
+  }
+  std::printf("%s\n", table.render().c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,54 +77,24 @@ int main(int argc, char** argv) {
 
   // Conv: 32->32 channels, 3x3, 12x12 maps, batch 32 — a mid-size layer.
   {
-    Conv2d conv("c", 32, 32, 3, 1, 1, false);
-    kaiming_normal(conv.weight().data, rng);
+    Sequential model("conv3x3-32ch");
+    model.emplace<Conv2d>("c", 32, 32, 3, 1, 1, false);
+    Parameter& weight = static_cast<Conv2d&>(model[0]).weight();
+    kaiming_normal(weight.data, rng);
     Tensor x({32, 32, 12, 12});
     rng.fill_normal(x, 0, 1);
-    const double dense_time = time_seconds([&] { conv.forward(x, false); }, reps);
-
-    report::Table table(
-        {"conv sparsity", "theoretical speedup", "dense ms", "sparse ms", "wall-clock speedup"});
-    for (const double sparsity : {0.0, 0.5, 0.75, 0.9, 0.97, 0.99}) {
-      apply_sparsity(conv.weight(), sparsity, rng);
-      const SparseConv2dInference sparse(conv);
-      const double sparse_time = time_seconds([&] { sparse.forward(x); }, reps);
-      const double theoretical = 1.0 / std::max(1e-9, 1.0 - sparsity);
-      const double wallclock = dense_time / sparse_time;
-      table.add_row({report::Table::num(sparsity, 2), report::Table::num(theoretical, 1),
-                     report::Table::num(dense_time * 1e3, 3),
-                     report::Table::num(sparse_time * 1e3, 3),
-                     report::Table::num(wallclock, 2)});
-      csv.push_back({"conv3x3-32ch", report::Table::num(sparsity, 2),
-                     report::Table::num(theoretical, 2), report::Table::num(wallclock, 3)});
-    }
-    std::printf("%s\n", table.render().c_str());
+    sweep("conv", model, weight, {32, 12, 12}, x, reps, rng, csv);
   }
 
   // Linear: 512 -> 512, batch 64.
   {
-    Linear fc("fc", 512, 512, false);
-    kaiming_normal(fc.weight().data, rng);
+    Sequential model("linear-512");
+    model.emplace<Linear>("fc", 512, 512, false);
+    Parameter& weight = static_cast<Linear&>(model[0]).weight();
+    kaiming_normal(weight.data, rng);
     Tensor x({64, 512});
     rng.fill_normal(x, 0, 1);
-    const double dense_time = time_seconds([&] { fc.forward(x, false); }, reps);
-
-    report::Table table(
-        {"linear sparsity", "theoretical speedup", "dense ms", "sparse ms", "wall-clock speedup"});
-    for (const double sparsity : {0.0, 0.5, 0.75, 0.9, 0.97, 0.99}) {
-      apply_sparsity(fc.weight(), sparsity, rng);
-      const SparseLinearInference sparse(fc);
-      const double sparse_time = time_seconds([&] { sparse.forward(x); }, reps);
-      const double theoretical = 1.0 / std::max(1e-9, 1.0 - sparsity);
-      table.add_row({report::Table::num(sparsity, 2), report::Table::num(theoretical, 1),
-                     report::Table::num(dense_time * 1e3, 3),
-                     report::Table::num(sparse_time * 1e3, 3),
-                     report::Table::num(dense_time / sparse_time, 2)});
-      csv.push_back({"linear-512", report::Table::num(sparsity, 2),
-                     report::Table::num(theoretical, 2),
-                     report::Table::num(dense_time / sparse_time, 3)});
-    }
-    std::printf("%s\n", table.render().c_str());
+    sweep("linear", model, weight, {512}, x, reps, rng, csv);
   }
 
   report::write_csv(args.out_dir + "/ablation_sparse_inference.csv", csv);

@@ -1,5 +1,6 @@
 // Structured vs unstructured pruning, end to end — accuracy, theoretical
-// speedup, *measured* sparse-inference latency, and storage bytes.
+// speedup, *measured* latency of the model's Dense and Csr serving
+// executors, and storage bytes.
 //
 // The paper's §2.3 frames the structure choice as accuracy-vs-hardware:
 // unstructured pruning keeps more accuracy per removed weight, structured
@@ -16,48 +17,21 @@
 #include "metrics/storage.hpp"
 #include "models/zoo.hpp"
 #include "nn/checkpoint.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/init.hpp"
-#include "nn/sparse.hpp"
+#include "serve/executor.hpp"
 
 using namespace shrinkbench;
 
 namespace {
 
-double time_forward(Model& model, const Tensor& x, int reps) {
-  model.forward(x, false);  // warm-up
+// Mean latency of one forward of x through the model compiled in `mode`.
+double time_executor(Model& model, const Tensor& x, serve::ExecMode mode, int reps) {
+  const Shape sample(x.shape().begin() + 1, x.shape().end());
+  const serve::Executor exec = serve::compile(model, sample, mode);
+  exec.forward(x);  // warm-up
   const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < reps; ++i) model.forward(x, false);
+  for (int i = 0; i < reps; ++i) exec.forward(x);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() / reps;
-}
-
-// Sparse-executes every conv of the model once (linear layers stay dense:
-// they are tiny here) and returns the mean latency.
-double time_sparse_convs(Model& model, const Tensor& x, int reps) {
-  std::vector<Conv2d*> convs;
-  visit_layers(model, [&](Layer& l) {
-    if (auto* c = dynamic_cast<Conv2d*>(&l)) convs.push_back(c);
-  });
-  std::vector<SparseConv2dInference> sparse;
-  sparse.reserve(convs.size());
-  for (Conv2d* c : convs) sparse.emplace_back(*c);
-  // Time conv-by-conv on uniform-size random probes (a kernel-latency
-  // comparison, not an exact per-layer replay), summing — the convs are
-  // the model's hot path.
-  Rng rng(123);
-  double total = 0.0;
-  for (size_t i = 0; i < convs.size(); ++i) {
-    const int64_t in_c = convs[i]->in_channels();
-    const int64_t hw = x.size(2);
-    Tensor xi({x.size(0), in_c, hw, hw});
-    rng.fill_normal(xi, 0, 1);
-    sparse[i].forward(xi);  // warm-up
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) sparse[i].forward(xi);
-    total +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() / reps;
-  }
-  return total;
 }
 
 }  // namespace
@@ -83,7 +57,7 @@ int main() {
   rng.fill_normal(probe, 0, 1);
 
   std::printf("%-18s %-8s %-12s %-10s %-12s %-14s %-12s\n", "strategy", "ratio", "top1",
-              "speedup", "dense ms", "sparse-conv ms", "csr bytes");
+              "speedup", "dense ms", "csr ms", "csr bytes");
   for (const double ratio : {4.0, 8.0}) {
     for (const char* strategy : {"global-weight", "global-channel"}) {
       load_state_dict(*model, pretrained);
@@ -94,8 +68,8 @@ int main() {
       finetune.epochs = 8;
       train_model(*model, data, finetune);
 
-      const double dense_ms = time_forward(*model, probe, 10) * 1e3;
-      const double sparse_ms = time_sparse_convs(*model, probe, 10) * 1e3;
+      const double dense_ms = time_executor(*model, probe, serve::ExecMode::Dense, 10) * 1e3;
+      const double sparse_ms = time_executor(*model, probe, serve::ExecMode::Csr, 10) * 1e3;
       std::printf("%-18s %-8.0f %-12.4f %-10.2f %-12.3f %-14.3f %-12lld\n", strategy, ratio,
                   evaluate(*model, data.test).top1,
                   theoretical_speedup(*model, data.train.sample_shape()), dense_ms, sparse_ms,

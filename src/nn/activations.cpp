@@ -4,11 +4,19 @@
 
 namespace shrinkbench {
 
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  Tensor y = x;
-  for (float& v : y.flat()) {
+void relu_inplace(Tensor& x) {
+  for (float& v : x.flat()) {
     if (v < 0.0f) v = 0.0f;
   }
+}
+
+Tensor relu(Tensor x) {
+  relu_inplace(x);
+  return x;
+}
+
+Tensor ReLU::forward(const Tensor& x, bool train) {
+  Tensor y = relu(x);
   if (train) cached_output_ = y;
   return y;
 }

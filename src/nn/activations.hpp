@@ -17,4 +17,8 @@ class ReLU : public Layer {
   Tensor cached_output_;  // relu'(x) = 1[y > 0]; the output suffices
 };
 
+/// max(x, 0) elementwise: in place, and on a copy.
+void relu_inplace(Tensor& x);
+Tensor relu(Tensor x);
+
 }  // namespace shrinkbench

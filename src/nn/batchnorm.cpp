@@ -1,6 +1,5 @@
 #include "nn/batchnorm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -9,17 +8,6 @@
 #include "tensor/workspace.hpp"
 
 namespace shrinkbench {
-
-namespace {
-// Floor on elements per parallel chunk for the per-channel / per-plane
-// loops below; every chunk owns whole channels or whole (sample,
-// channel) planes, so the partition cannot change any output bit.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
-int64_t chunk_grain(int64_t per_index_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_index_elems, 1));
-}
-}  // namespace
 
 BatchNorm2d::BatchNorm2d(std::string name, int64_t channels, float eps, float momentum)
     : Layer(std::move(name)),
@@ -34,16 +22,12 @@ BatchNorm2d::BatchNorm2d(std::string name, int64_t channels, float eps, float mo
 }
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
-  if (x.dim() != 4 || x.size(1) != channels_) {
-    throw std::invalid_argument(name() + ": expected [N, " + std::to_string(channels_) +
-                                ", H, W], got " + to_string(x.shape()));
-  }
+  check_nchw(name(), x, channels_);
   const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
   const int64_t spatial = h * w;
   const int64_t per_channel = n * spatial;
   const size_t nc = static_cast<size_t>(channels_);
 
-  Tensor y(x.shape());
   if (train) {
     cached_xhat_ = Tensor(x.shape());
     cached_inv_std_.assign(nc, 0.0f);
@@ -64,7 +48,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     // Channel-outer so each sum[c] is owned by one chunk and accumulates
     // its per-sample partials in ascending-i order — the same order as a
     // sample-outer loop, hence bit-identical for any thread count.
-    parallel_for(0, channels_, chunk_grain(per_channel), [&](int64_t c0, int64_t c1) {
+    parallel_for(0, channels_, work_grain(per_channel), [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         for (int64_t i = 0; i < n; ++i) {
           const float* src = x.data() + (i * channels_ + c) * spatial;
@@ -95,24 +79,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     }
   }
 
-  // Normalize pass: each (sample, channel) plane is written by exactly
-  // one chunk, so the fan-out cannot change any output bit.
-  parallel_for(0, n * channels_, chunk_grain(spatial), [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      const int64_t c = p % channels_;
-      const float* src = x.data() + p * spatial;
-      float* dst = y.data() + p * spatial;
-      float* xh = train ? cached_xhat_.data() + p * spatial : nullptr;
-      const float m = mean[c], is = inv_std[c];
-      const float g = gamma_.data.at(c), b = beta_.data.at(c);
-      for (int64_t k = 0; k < spatial; ++k) {
-        const float xhat = (src[k] - m) * is;
-        if (xh) xh[k] = xhat;
-        dst[k] = g * xhat + b;
-      }
-    }
-  });
-  return y;
+  return batchnorm_normalize(x, mean, inv_std, gamma_.data.data(), beta_.data.data(),
+                             train ? cached_xhat_.data() : nullptr);
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
@@ -131,7 +99,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   std::memset(sum_dy_xhat, 0, nc * sizeof(double));
   // Channel-outer: each channel's sums are owned by one chunk and keep
   // the ascending-i accumulation order of the sequential loop.
-  parallel_for(0, channels_, chunk_grain(per_channel), [&](int64_t c0, int64_t c1) {
+  parallel_for(0, channels_, work_grain(per_channel), [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
       for (int64_t i = 0; i < n; ++i) {
         const float* dy = grad_out.data() + (i * channels_ + c) * spatial;
@@ -159,7 +127,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   }
 
   Tensor dx(grad_out.shape());
-  parallel_for(0, n * channels_, chunk_grain(spatial), [&](int64_t p0, int64_t p1) {
+  parallel_for(0, n * channels_, work_grain(spatial), [&](int64_t p0, int64_t p1) {
     for (int64_t p = p0; p < p1; ++p) {
       const int64_t c = p % channels_;
       const float* dy = grad_out.data() + p * spatial;
@@ -184,6 +152,29 @@ Shape BatchNorm2d::output_sample_shape(const Shape& in) const {
     throw std::invalid_argument(name() + ": bad sample shape " + to_string(in));
   }
   return in;
+}
+
+Tensor batchnorm_normalize(const Tensor& x, const float* mean, const float* inv_std,
+                           const float* gamma, const float* beta, float* xhat) {
+  const int64_t channels = x.size(1), spatial = x.size(2) * x.size(3);
+  Tensor y(x.shape());
+  // Each (sample, channel) plane is written by exactly one chunk, so the
+  // fan-out cannot change any output bit.
+  parallel_for(0, x.size(0) * channels, work_grain(spatial), [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      const int64_t c = p % channels;
+      const float* src = x.data() + p * spatial;
+      float* dst = y.data() + p * spatial;
+      float* xh = xhat != nullptr ? xhat + p * spatial : nullptr;
+      const float m = mean[c], is = inv_std[c], g = gamma[c], b = beta[c];
+      for (int64_t k = 0; k < spatial; ++k) {
+        const float v = (src[k] - m) * is;
+        if (xh) xh[k] = v;
+        dst[k] = g * v + b;
+      }
+    }
+  });
+  return y;
 }
 
 }  // namespace shrinkbench

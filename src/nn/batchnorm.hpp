@@ -35,4 +35,10 @@ class BatchNorm2d : public Layer {
   std::vector<float> cached_inv_std_;
 };
 
+/// Normalize pass of batch norm over x [N, C, H, W] with per-channel
+/// constants: y = gamma * x̂ + beta, x̂ = (x - mean) * inv_std. x̂ is also
+/// stored into `xhat` when non-null (the training cache).
+Tensor batchnorm_normalize(const Tensor& x, const float* mean, const float* inv_std,
+                           const float* gamma, const float* beta, float* xhat = nullptr);
+
 }  // namespace shrinkbench

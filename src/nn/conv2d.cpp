@@ -25,48 +25,20 @@ bool cache_cols_enabled() {
   return enabled;
 }
 
-// Per-sample loops fan out over the pool with this floor on elements per
-// chunk; samples are disjoint, so partitioning cannot change any value.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
 // Floor on output channels per fused-grid tile: below this the per-tile
 // GEMM degenerates to a few kernel rows and the restaged im2col columns
 // dominate. Only reached at batch sizes below the pool width, where the
 // channel axis is the only parallelism left.
 constexpr int64_t kMinOcPerTile = 4;
 
-int64_t sample_grain(int64_t per_sample_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_sample_elems, 1));
-}
-
-// Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow]
-// (and scatters back), so a whole minibatch becomes one GEMM operand.
+// Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow],
+// so a whole minibatch becomes one GEMM operand.
 void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spatial, float* cm) {
-  parallel_for(0, n, sample_grain(c * spatial), [&](int64_t n0, int64_t n1) {
+  parallel_for(0, n, work_grain(c * spatial), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
       for (int64_t ch = 0; ch < c; ++ch) {
         const float* src = nchw + (i * c + ch) * spatial;
         std::copy(src, src + spatial, cm + ch * (n * spatial) + i * spatial);
-      }
-    }
-  });
-}
-
-// The scatter direction fuses the per-channel bias add (bias == nullptr
-// for bias-free layers), saving a second full pass over the output.
-void scatter_channel_major(const float* cm, int64_t n, int64_t c, int64_t spatial, float* nchw,
-                           const float* bias) {
-  parallel_for(0, n, sample_grain(c * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* src = cm + ch * (n * spatial) + i * spatial;
-        float* dst = nchw + (i * c + ch) * spatial;
-        if (bias == nullptr) {
-          std::copy(src, src + spatial, dst);
-        } else {
-          const float b = bias[ch];
-          for (int64_t s = 0; s < spatial; ++s) dst[s] = src[s] + b;
-        }
       }
     }
   });
@@ -94,101 +66,44 @@ ConvGeometry Conv2d::geometry(int64_t h, int64_t w) const {
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   SB_PROFILE_SCOPE("conv2d.fwd");
   if (obs::profiling_enabled()) obs::count("conv2d.fwd.calls");
-  if (x.dim() != 4 || x.size(1) != in_c_) {
-    throw std::invalid_argument(name() + ": expected [N, " + std::to_string(in_c_) +
-                                ", H, W], got " + to_string(x.shape()));
-  }
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const ConvGeometry g = geometry(h, w);
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(name() + ": input " + to_string(x.shape()) + " too small");
-  }
+  const ConvGeometry g = conv_geometry(name(), x, in_c_, kernel_, stride_, pad_);
+  const OutputRows rows{nullptr, nullptr, has_bias_ ? bias_.data.data() : nullptr};
   if (train) cached_input_ = x;
-
-  const int64_t ld = n * g.col_cols();
-  const int64_t image_numel = in_c_ * h * w;
-  const int64_t spatial = oh * ow;
-  const int64_t col_rows = g.col_rows();
-  const float* bias = has_bias_ ? bias_.data.data() : nullptr;
-  Tensor y({n, out_c_, oh, ow});
-
-  const bool keep_cols = train && cache_cols_enabled();
-  if (keep_cols) {
-    // SB_CONV_CACHE_COLS=1 training forward: backward reuses the full
-    // batched column matrix, so the lowering stays monolithic — a fused
-    // tile would stage its columns into the thread-local arena and
-    // discard them. Member storage (grow-only) survives until backward.
-    Workspace::Scope scope;
-    Workspace& ws = Workspace::tls();
-    cached_cols_.resize(static_cast<size_t>(col_rows * ld));
-    float* cols = cached_cols_.data();
-    cached_cols_valid_ = true;
-    parallel_for(0, n, sample_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
-      for (int64_t i = n0; i < n1; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
-      }
-    });
-    float* out_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
-    gemm(false, false, out_c_, ld, col_rows, 1.0f, weight_.data.data(), col_rows, cols, ld, 0.0f,
-         out_cm, ld);
-    scatter_channel_major(out_cm, n, out_c_, spatial, y.data(), bias);
-    return y;
+  if (!(train && cache_cols_enabled())) {
+    // Only a training forward may touch the validity flag: eval-mode
+    // forward must stay write-free so concurrent evaluate() batches can
+    // share one model, and the (cached_input_, cached_cols_) pair from
+    // the last training forward stays mutually consistent for backward.
+    if (train) cached_cols_valid_ = false;
+    return conv2d_eval(x, g, weight_.data.data(), out_c_, rows);
   }
-  // Only a training forward may touch the validity flag: eval-mode
-  // forward must stay write-free so concurrent evaluate() batches can
-  // share one model, and the (cached_input_, cached_cols_) pair from
-  // the last training forward stays mutually consistent for backward.
-  if (train) cached_cols_valid_ = false;
 
-  // Fused (sample × out-channel-tile) grid. Each tile stages im2col for
-  // its samples into the thread-local arena and immediately runs its
-  // weight rows' sub-GEMM plus the bias scatter while the columns are
-  // cache-hot. The channel axis splits only when samples alone cannot
-  // fill the pool (the batch-1 serving case the old per-sample split
-  // starved). Bit-identity: tile outputs are disjoint y regions, the k
-  // reduction stays whole inside every tile, and the block kernel
-  // accumulates k in the same ascending order for any (m, n) subrange —
-  // so y matches the monolithic GEMM bit for bit at every thread count.
-  const Grid2d grid(n, out_c_, 1, kMinOcPerTile, ThreadPool::instance().threads());
-  parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
-    Workspace& ws = Workspace::tls();
-    int64_t t = t_lo;
-    while (t < t_hi) {
-      // Tile ids are channel-fastest, so consecutive tiles of one sample
-      // range arrive back to back: stage that range's columns once and
-      // reuse them for every channel tile this chunk owns in the row.
-      const int64_t i0 = grid.tile0(t);
-      const Grid2d::Range s = grid.range0(i0);
-      const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
-      const int64_t tile_ld = (s.hi - s.lo) * spatial;
-      Workspace::Scope stage;  // LIFO: reclaimed before the next sample range
-      float* cols = ws.floats(static_cast<size_t>(col_rows * tile_ld));
-      for (int64_t i = s.lo; i < s.hi; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, cols + (i - s.lo) * spatial, tile_ld);
-      }
-      for (; t < row_end; ++t) {
-        const Grid2d::Range cr = grid.range1(grid.tile1(t));
-        Workspace::Scope out_scope;
-        float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * tile_ld));
-        gemm(false, false, cr.hi - cr.lo, tile_ld, col_rows, 1.0f,
-             weight_.data.data() + cr.lo * col_rows, col_rows, cols, tile_ld, 0.0f, out_cm,
-             tile_ld);
-        for (int64_t c = cr.lo; c < cr.hi; ++c) {
-          const float* src_c = out_cm + (c - cr.lo) * tile_ld;
-          for (int64_t i = s.lo; i < s.hi; ++i) {
-            const float* src = src_c + (i - s.lo) * spatial;
-            float* dst = y.data() + (i * out_c_ + c) * spatial;
-            if (bias == nullptr) {
-              std::copy(src, src + spatial, dst);
-            } else {
-              const float b = bias[c];
-              for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
-            }
-          }
-        }
-      }
+  // SB_CONV_CACHE_COLS=1 training forward: backward reuses the full
+  // batched column matrix, so the lowering stays monolithic — a fused
+  // tile would stage its columns into the thread-local arena and
+  // discard them. Member storage (grow-only) survives until backward.
+  const int64_t n = x.size(0);
+  const int64_t spatial = g.col_cols();
+  const int64_t ld = n * spatial;
+  const int64_t image_numel = in_c_ * g.in_h * g.in_w;
+  const int64_t col_rows = g.col_rows();
+  Workspace::Scope scope;
+  Workspace& ws = Workspace::tls();
+  cached_cols_.resize(static_cast<size_t>(col_rows * ld));
+  float* cols = cached_cols_.data();
+  cached_cols_valid_ = true;
+  parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
+    for (int64_t i = n0; i < n1; ++i) {
+      im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
     }
+  });
+  float* out_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
+  gemm(false, false, out_c_, ld, col_rows, 1.0f, weight_.data.data(), col_rows, cols, ld, 0.0f,
+       out_cm, ld);
+  Tensor y({n, out_c_, g.out_h(), g.out_w()});
+  parallel_for(0, n, work_grain(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
+    conv_epilogue(out_cm + n0 * spatial, 0, ld, {n0, n1}, {0, out_c_}, out_c_, spatial, rows,
+                  y.data());
   });
   return y;
 }
@@ -216,7 +131,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // Recompute the batched column matrix (cheaper than caching it in
     // memory-constrained runs; see SB_CONV_CACHE_COLS).
     float* scratch = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-    parallel_for(0, n, sample_grain(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
+    parallel_for(0, n, work_grain(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
       for (int64_t i = n0; i < n1; ++i) {
         im2col_ld(g, x.data() + i * image_numel, scratch + i * g.col_cols(), ld);
       }
@@ -272,7 +187,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // Channel-outer so each bg[c] is owned by one chunk and accumulates
     // its per-sample sums in ascending-i order — the same order as the
     // old sample-outer loop, hence bit-identical for any thread count.
-    parallel_for(0, out_c_, sample_grain(n * spatial), [&](int64_t c0, int64_t c1) {
+    parallel_for(0, out_c_, work_grain(n * spatial), [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         for (int64_t i = 0; i < n; ++i) {
           const float* src = gp + (i * out_c_ + c) * spatial;
@@ -314,6 +229,95 @@ int64_t Conv2d::effective_flops(const Shape& in) const {
   }
   const ConvGeometry g = geometry(in[1], in[2]);
   return g.out_h() * g.out_w() * ops::count_nonzero(weight_.mask);
+}
+
+ConvGeometry conv_geometry(const std::string& who, const Tensor& x, int64_t in_c, int64_t kernel,
+                           int64_t stride, int64_t pad) {
+  check_nchw(who, x, in_c);
+  const ConvGeometry g{in_c, x.size(2), x.size(3), kernel, kernel, stride, pad};
+  if (g.out_h() <= 0 || g.out_w() <= 0) {
+    throw std::invalid_argument(who + ": input " + to_string(x.shape()) + " too small");
+  }
+  return g;
+}
+
+void conv_epilogue(const float* cm, int64_t r0, int64_t ld, Grid2d::Range samples,
+                   Grid2d::Range channels, int64_t out_c, int64_t spatial, const OutputRows& out,
+                   float* y) {
+  for (int64_t c = channels.lo; c < channels.hi; ++c) {
+    const int64_t r = out.row(c);
+    for (int64_t i = samples.lo; i < samples.hi; ++i) {
+      float* dst = y + (i * out_c + c) * spatial;
+      if (r < 0) {
+        std::fill(dst, dst + spatial, out.fill[c]);
+        continue;
+      }
+      const float* src = cm + (r - r0) * ld + (i - samples.lo) * spatial;
+      if (out.bias == nullptr) {
+        std::copy(src, src + spatial, dst);
+      } else {
+        const float b = out.bias[c];
+        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
+      }
+    }
+  }
+}
+
+Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
+                   const OutputRows& out) {
+  const int64_t n = x.size(0);
+  const int64_t spatial = g.col_cols();
+  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
+  const int64_t col_rows = g.col_rows();
+  Tensor y({n, out_c, g.out_h(), g.out_w()});
+
+  // The channel axis splits only when samples alone cannot fill the pool
+  // (the batch-1 serving case a per-sample split starves). Bit-identity:
+  // tile outputs are disjoint y regions, the k reduction stays whole
+  // inside every tile, and the block kernel accumulates k in the same
+  // ascending order for any (m, n) subrange — so y matches the
+  // monolithic GEMM bit for bit at every thread count.
+  const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
+  parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
+    Workspace& ws = Workspace::tls();
+    int64_t t = t_lo;
+    while (t < t_hi) {
+      // Tile ids are channel-fastest, so consecutive tiles of one sample
+      // range arrive back to back: stage that range's columns once and
+      // reuse them for every channel tile this chunk owns in the row.
+      const int64_t i0 = grid.tile0(t);
+      const Grid2d::Range s = grid.range0(i0);
+      const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
+      const int64_t tile_ld = (s.hi - s.lo) * spatial;
+      Workspace::Scope stage;  // LIFO: reclaimed before the next sample range
+      float* cols = ws.floats(static_cast<size_t>(col_rows * tile_ld));
+      for (int64_t i = s.lo; i < s.hi; ++i) {
+        im2col_ld(g, x.data() + i * image_numel, cols + (i - s.lo) * spatial, tile_ld);
+      }
+      for (; t < row_end; ++t) {
+        // The row map is monotone over live channels, so a channel
+        // tile's live rows form one contiguous span of the weight matrix
+        // and the tile GEMM runs over exactly that span.
+        const Grid2d::Range cr = grid.range1(grid.tile1(t));
+        int64_t r_lo = -1, r_hi = -1;
+        for (int64_t c = cr.lo; c < cr.hi; ++c) {
+          const int64_t r = out.row(c);
+          if (r < 0) continue;
+          if (r_lo < 0) r_lo = r;
+          r_hi = r + 1;
+        }
+        Workspace::Scope out_scope;
+        float* out_cm = nullptr;
+        if (r_lo >= 0) {
+          out_cm = ws.floats(static_cast<size_t>((r_hi - r_lo) * tile_ld));
+          gemm(false, false, r_hi - r_lo, tile_ld, col_rows, 1.0f, weight + r_lo * col_rows,
+               col_rows, cols, tile_ld, 0.0f, out_cm, tile_ld);
+        }
+        conv_epilogue(out_cm, r_lo, tile_ld, s, cr, out_c, spatial, out, y.data());
+      }
+    }
+  });
+  return y;
 }
 
 }  // namespace shrinkbench

@@ -89,4 +89,26 @@ void apply_masks(Layer& layer);
 /// Depth-first visit of every layer (containers first, then children).
 void visit_layers(Layer& root, const std::function<void(Layer&)>& fn);
 
+/// Throws std::invalid_argument naming `who` unless x is [N, channels,
+/// H, W] (channels < 0 accepts any channel count).
+void check_nchw(const std::string& who, const Tensor& x, int64_t channels = -1);
+
+// ---------------------------------------------------------------------------
+// Eval kernels. Every eval-mode computation exists once, as a free
+// function next to its layer: the layer's forward(x, /*train=*/false) and
+// the serving executor (src/serve) both call it, so the dense executor
+// matches the eager model bit for bit by construction.
+
+/// Output-row epilogue of the eval conv/linear kernels. Output c reads
+/// weight row row(c) of a possibly packed weight matrix and adds bias[c]
+/// (bias == nullptr: no bias). row_of == nullptr is the identity map;
+/// row_of[c] < 0 marks a dead output, written as the constant fill[c].
+struct OutputRows {
+  const int32_t* row_of = nullptr;
+  const float* fill = nullptr;
+  const float* bias = nullptr;
+
+  int64_t row(int64_t c) const { return row_of == nullptr ? c : row_of[c]; }
+};
+
 }  // namespace shrinkbench

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "tensor/gemm.hpp"
+#include "tensor/workspace.hpp"
 
 namespace shrinkbench {
 
@@ -19,25 +20,10 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features, bool
 }
 
 Tensor Linear::forward(const Tensor& x, bool train) {
-  if (x.dim() != 2 || x.size(1) != in_) {
-    throw std::invalid_argument(name() + ": expected input [N, " + std::to_string(in_) +
-                                "], got " + to_string(x.shape()));
-  }
+  check_features(name(), x, in_);
   if (train) cached_input_ = x;
-  const int64_t n = x.size(0);
-  Tensor y({n, out_});
-  if (has_bias_) {
-    // Fuse the bias add into the GEMM epilogue: pre-fill each output row
-    // with the bias and accumulate (beta = 1) instead of overwriting and
-    // making a second pass over y.
-    float* yp = y.data();
-    const float* bp = bias_.data.data();
-    for (int64_t i = 0; i < n; ++i) std::copy(bp, bp + out_, yp + i * out_);
-  }
-  // y = x [N, in] * W^T [in, out] (+ bias)
-  gemm(false, /*trans_b=*/true, n, out_, in_, 1.0f, x.data(), in_, weight_.data.data(), in_,
-       has_bias_ ? 1.0f : 0.0f, y.data(), out_);
-  return y;
+  return linear_eval(x, weight_.data.data(), out_, out_,
+                     OutputRows{nullptr, nullptr, has_bias_ ? bias_.data.data() : nullptr});
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
@@ -76,6 +62,55 @@ int64_t Linear::flops(const Shape& in) const {
 int64_t Linear::effective_flops(const Shape& in) const {
   (void)in;
   return ops::count_nonzero(weight_.mask);
+}
+
+void check_features(const std::string& who, const Tensor& x, int64_t in) {
+  if (x.dim() != 2 || x.size(1) != in) {
+    throw std::invalid_argument(who + ": expected input [N, " + std::to_string(in) + "], got " +
+                                to_string(x.shape()));
+  }
+}
+
+void linear_epilogue(const float* src, int64_t sample_stride, int64_t row_stride, int64_t n,
+                     int64_t out_features, const OutputRows& out, float* y) {
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < out_features; ++j) {
+      const int64_t r = out.row(j);
+      float v = r < 0 ? out.fill[j] : src[i * sample_stride + r * row_stride];
+      if (r >= 0 && out.bias != nullptr) v += out.bias[j];
+      y[i * out_features + j] = v;
+    }
+  }
+}
+
+Tensor linear_eval(const Tensor& x, const float* weight, int64_t rows, int64_t out_features,
+                   const OutputRows& out) {
+  const int64_t n = x.size(0), in = x.size(1);
+  Tensor y({n, out_features});
+  if (out.row_of == nullptr) {
+    // y = x [N, in] * W^T [in, out] (+ bias). The bias add is fused into
+    // the GEMM epilogue: pre-fill each output row with the bias and
+    // accumulate (beta = 1) instead of overwriting and making a second
+    // pass over y.
+    if (out.bias != nullptr) {
+      float* yp = y.data();
+      for (int64_t i = 0; i < n; ++i) {
+        std::copy(out.bias, out.bias + out_features, yp + i * out_features);
+      }
+    }
+    gemm(false, /*trans_b=*/true, n, out_features, in, 1.0f, x.data(), in, weight, in,
+         out.bias != nullptr ? 1.0f : 0.0f, y.data(), out_features);
+    return y;
+  }
+  // Packed rows: GEMM over the live rows only, scattered to full width.
+  Workspace::Scope scope;
+  float* y_live = Workspace::tls().floats(static_cast<size_t>(n * std::max<int64_t>(rows, 1)));
+  if (rows > 0) {
+    gemm(false, /*trans_b=*/true, n, rows, in, 1.0f, x.data(), in, weight, in, 0.0f, y_live,
+         rows);
+  }
+  linear_epilogue(y_live, rows, 1, n, out_features, out, y.data());
+  return y;
 }
 
 }  // namespace shrinkbench

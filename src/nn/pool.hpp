@@ -53,4 +53,13 @@ class GlobalAvgPool : public Layer {
   Shape cached_in_shape_;
 };
 
+// Pooling kernels behind the layers above (and the serving executor).
+// Each checks its input — NCHW, and for the windowed pools a window grid
+// that tiles H and W exactly — and names `who` in errors. argmax, when
+// non-null, receives each output's flat input index (training cache).
+Tensor max_pool2d(const std::string& who, const Tensor& x, int64_t kernel, int64_t stride,
+                  std::vector<int64_t>* argmax = nullptr);
+Tensor avg_pool2d(const std::string& who, const Tensor& x, int64_t kernel, int64_t stride);
+Tensor global_avg_pool(const std::string& who, const Tensor& x);
+
 }  // namespace shrinkbench

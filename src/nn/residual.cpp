@@ -2,9 +2,15 @@
 
 #include <stdexcept>
 
+#include "nn/activations.hpp"
 #include "tensor/ops.hpp"
 
 namespace shrinkbench {
+
+void residual_join(Tensor& main, const Tensor& shortcut, bool final_relu) {
+  ops::add_inplace(main, shortcut);
+  if (final_relu) relu_inplace(main);
+}
 
 ResidualBlock::ResidualBlock(std::string name, std::unique_ptr<Sequential> main,
                              std::unique_ptr<Sequential> shortcut, bool final_relu)
@@ -17,13 +23,7 @@ ResidualBlock::ResidualBlock(std::string name, std::unique_ptr<Sequential> main,
 
 Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   Tensor main_out = main_->forward(x, train);
-  Tensor shortcut_out = shortcut_ ? shortcut_->forward(x, train) : x;
-  ops::add_inplace(main_out, shortcut_out);
-  if (final_relu_) {
-    for (float& v : main_out.flat()) {
-      if (v < 0.0f) v = 0.0f;
-    }
-  }
+  residual_join(main_out, shortcut_ ? shortcut_->forward(x, train) : x, final_relu_);
   if (train) cached_sum_ = main_out;
   return main_out;
 }

@@ -6,23 +6,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "tensor/im2col.hpp"
 #include "tensor/threadpool.hpp"
 #include "tensor/workspace.hpp"
 
 namespace shrinkbench {
-
-namespace {
-
-// Same fan-out floor as the dense conv path: chunks below this many
-// touched elements stay on the calling thread.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-
-int64_t work_grain(int64_t per_index_elems) {
-  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_index_elems, 1));
-}
-
-}  // namespace
 
 CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float tol) {
   // col_idx is int32_t; wider matrices would silently wrap the indices.
@@ -45,17 +32,6 @@ CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float t
     csr.row_ptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(csr.values.size());
   }
   return csr;
-}
-
-CsrMatrix csr_from_parameter(const Parameter& param) {
-  if (param.data.dim() < 2) {
-    throw std::invalid_argument("csr_from_parameter: need rank >= 2 weight, got " +
-                                to_string(param.data.shape()));
-  }
-  Tensor effective = param.data;
-  ops::mul_inplace(effective, param.mask);
-  const int64_t rows = effective.size(0);
-  return csr_from_dense(effective.data(), rows, effective.numel() / rows);
 }
 
 void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* dense_out) {
@@ -92,86 +68,50 @@ Tensor csr_to_dense(const CsrMatrix& csr) {
   return dense;
 }
 
-SparseConv2dInference::SparseConv2dInference(Conv2d& conv)
-    : conv_(conv),
-      weights_(csr_from_parameter(conv.weight())),
-      in_c_(conv.in_channels()),
-      out_c_(conv.out_channels()),
-      kernel_(conv.kernel()),
-      stride_(conv.stride()),
-      pad_(conv.padding()) {}
+Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
+                       int64_t out_c, const OutputRows& out) {
+  const int64_t n = x.size(0);
+  const int64_t spatial = g.col_cols();
+  const int64_t ld = n * spatial;
+  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
+  const int64_t col_rows = g.col_rows();
 
-Tensor SparseConv2dInference::forward(const Tensor& x) const {
-  if (x.dim() != 4 || x.size(1) != in_c_) {
-    throw std::invalid_argument("SparseConv2dInference: bad input " + to_string(x.shape()));
-  }
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const ConvGeometry g{in_c_, h, w, kernel_, kernel_, stride_, pad_};
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t ld = n * g.col_cols();
-  const int64_t spatial = oh * ow;
-  const int64_t image_numel = in_c_ * h * w;
-
-  // Scratch lives in the thread-local arena (PR 3's dense-path pattern):
-  // after warm-up, steady-state forwards perform zero heap allocations.
+  // Scratch lives in the thread-local arena: after warm-up, steady-state
+  // forwards perform zero heap allocations.
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
-  float* cols = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-  parallel_for(0, n, work_grain(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
+  float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
+  parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
     for (int64_t i = n0; i < n1; ++i) {
-      im2col_ld(g, x.data() + i * image_numel, cols + i * g.col_cols(), ld);
+      im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
     }
   });
-  float* out_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
-  csr_matmul(weights_, cols, ld, out_cm);
+  float* out_cm = ws.floats(static_cast<size_t>(std::max<int64_t>(w.rows, 1) * ld));
+  csr_matmul(w, cols, ld, out_cm);
 
-  Tensor y({n, out_c_, oh, ow});
-  const float* bias = conv_.bias() != nullptr ? conv_.bias()->data.data() : nullptr;
-  parallel_for(0, n, work_grain(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      for (int64_t c = 0; c < out_c_; ++c) {
-        const float* src = out_cm + c * ld + i * spatial;
-        float* dst = y.data() + (i * out_c_ + c) * spatial;
-        if (bias == nullptr) {
-          std::copy(src, src + spatial, dst);
-        } else {
-          const float b = bias[c];
-          for (int64_t s = 0; s < spatial; ++s) dst[s] = src[s] + b;
-        }
-      }
-    }
+  Tensor y({n, out_c, g.out_h(), g.out_w()});
+  parallel_for(0, n, work_grain(out_c * spatial), [&](int64_t n0, int64_t n1) {
+    conv_epilogue(out_cm + n0 * spatial, 0, ld, {n0, n1}, {0, out_c}, out_c, spatial, out,
+                  y.data());
   });
   return y;
 }
 
-SparseLinearInference::SparseLinearInference(Linear& linear)
-    : linear_(linear), weights_(csr_from_parameter(linear.weight())) {}
-
-Tensor SparseLinearInference::forward(const Tensor& x) const {
-  if (x.dim() != 2 || x.size(1) != weights_.cols) {
-    throw std::invalid_argument("SparseLinearInference: bad input " + to_string(x.shape()));
-  }
-  const int64_t n = x.size(0), in = weights_.cols, out = weights_.rows;
-  // Workspace scratch: steady-state forwards allocate nothing on the heap.
+Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, int64_t out_features,
+                       const OutputRows& out) {
+  const int64_t n = x.size(0), in = w.cols;
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
   // Transpose x to [in, n] so CSR rows stream over the batch dimension.
   float* xt = ws.floats(static_cast<size_t>(in * n));
+  const float* xp = x.data();
   for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < in; ++j) xt[static_cast<size_t>(j * n + i)] = x(i, j);
+    for (int64_t j = 0; j < in; ++j) xt[j * n + i] = xp[i * in + j];
   }
-  float* yt = ws.floats(static_cast<size_t>(out * n));
-  csr_matmul(weights_, xt, n, yt);
-
-  Tensor y({n, out});
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < out; ++j) y(i, j) = yt[static_cast<size_t>(j * n + i)];
-  }
-  if (const Parameter* bias = linear_.bias()) {
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < out; ++j) y(i, j) += bias->data.at(j);
-    }
-  }
+  float* yt = ws.floats(static_cast<size_t>(w.rows * n));
+  csr_matmul(w, xt, n, yt);
+  Tensor y({n, out_features});
+  linear_epilogue(yt, 1, n, n, out_features, out, y.data());
   return y;
 }
 

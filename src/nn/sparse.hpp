@@ -1,13 +1,16 @@
-// Sparse inference kernels.
+// Sparse (CSR) inference kernels.
 //
 // The paper (§2.3) notes that unstructured pruning "may not be arranged in
 // a fashion conducive to speedups using modern libraries and hardware" —
-// parameter and FLOP counts are proxies, not wall-clock. This module makes
-// that claim measurable in-repo: masked weights can be compiled to CSR and
-// executed with sparse kernels, and bench/ablation_sparse_inference
-// locates the sparsity level where sparse execution actually overtakes the
-// dense kernels (typically far above the 50-75% a "2-4x compression"
-// headline suggests).
+// parameter and FLOP counts are proxies, not wall-clock. This module holds
+// the CSR half of the eval lowering: the CSR matrix, its matmul, and the
+// CSR conv and linear kernels that the serving executor's Csr mode runs
+// (serve/executor.hpp). Their epilogues are the dense kernels' own
+// (conv_epilogue, linear_epilogue), so a CSR layer differs from its dense
+// twin only in the matrix product. bench/ablation_sparse_inference times
+// one-layer Csr executors against Dense ones to locate the sparsity where
+// sparse execution actually overtakes the dense kernels (typically far
+// above the 50-75% a "2-4x compression" headline suggests).
 //
 // Inference-only: backward is intentionally unsupported.
 #pragma once
@@ -39,10 +42,6 @@ struct CsrMatrix {
 /// |value| <= tol (masked weights are exactly zero, so tol = 0 suffices).
 CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float tol = 0.0f);
 
-/// Builds CSR from a parameter's effective weights: data ⊙ mask flattened
-/// to [rows = size(0), cols = numel/size(0)].
-CsrMatrix csr_from_parameter(const Parameter& param);
-
 /// dense_out[rows, n] = csr[rows, cols] * dense_in[cols, n]; out must be
 /// preallocated, is overwritten.
 void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* dense_out);
@@ -50,33 +49,16 @@ void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* d
 /// Reconstructs the dense matrix (for tests).
 Tensor csr_to_dense(const CsrMatrix& csr);
 
-/// Inference-only sparse view of a trained+pruned Conv2d: weights are
-/// frozen into CSR at construction; forward lowers via the same batched
-/// im2col as the dense layer but multiplies with the sparse kernel.
-class SparseConv2dInference {
- public:
-  explicit SparseConv2dInference(Conv2d& conv);
+/// CSR eval convolution of x ([N, in_c, H, W], geometry g) with weight
+/// rows w [rows, g.col_rows()]: one batched im2col and one csr_matmul
+/// (which already fans out over its rows, so batch 1 saturates the pool
+/// without the fused grid), then conv_epilogue. Returns [N, out_c, oh, ow].
+Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
+                       int64_t out_c, const OutputRows& out);
 
-  Tensor forward(const Tensor& x) const;
-  double density() const { return weights_.density(); }
-
- private:
-  Conv2d& conv_;
-  CsrMatrix weights_;  // [out_c, in_c*kh*kw]
-  int64_t in_c_, out_c_, kernel_, stride_, pad_;
-};
-
-/// Inference-only sparse view of a pruned Linear layer.
-class SparseLinearInference {
- public:
-  explicit SparseLinearInference(Linear& linear);
-
-  Tensor forward(const Tensor& x) const;  // x: [N, in]
-  double density() const { return weights_.density(); }
-
- private:
-  Linear& linear_;
-  CsrMatrix weights_;  // [out, in]
-};
+/// CSR eval fully-connected layer: y = x W^T + bias for x [N, w.cols],
+/// through linear_epilogue. Returns [N, out_features].
+Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, int64_t out_features,
+                       const OutputRows& out);
 
 }  // namespace shrinkbench

@@ -4,13 +4,11 @@
 // is where that proxy becomes measurable. compile() snapshots a trained,
 // pruned model into an immutable executor in one of three modes:
 //
-//   Dense   the faithful baseline: dense weights, standalone BN, the
-//           exact kernels the eval-mode Sequential runs (bit-identical
-//           output) — the denominator of measured speedup.
+//   Dense   the faithful baseline: dense weights, standalone BN — the
+//           denominator of measured speedup.
 //   Csr     unstructured sparsity: effective weights (data ⊙ mask)
-//           compiled to CSR, executed with the nn/sparse kernels; batch
-//           norm is folded into the preceding conv so the sparse matmul
-//           is the only per-layer matrix work.
+//           compiled to CSR; batch norm is folded into the preceding conv
+//           so the sparse matmul is the only per-layer matrix work.
 //   Shrunk  channel sparsity: BN folded, then all-zero output-channel
 //           rows are physically dropped from the GEMM. Dead channels
 //           still appear in the output, filled with their folded bias
@@ -20,6 +18,15 @@
 //           graph keeps residual shapes and downstream layers intact
 //           while the GEMM cost tracks effective FLOPs.
 //
+// There is one eval lowering. An op is compiled data (packed weights, a
+// row map, folded constants) plus a call into the same nn kernel the
+// eager layer's forward(x, /*train=*/false) runs: conv2d_eval and
+// linear_eval for Dense and Shrunk, conv2d_csr_eval and linear_csr_eval
+// (nn/sparse) for Csr, and the BN, ReLU, pool and residual-join kernels
+// for every mode. The Dense executor therefore matches the eval-mode
+// model bit for bit by construction, and serving rejects exactly the
+// inputs the model rejects.
+//
 // Executors hold copies of all weights: the source model can keep
 // training or be destroyed. forward() is eval-only, write-free and
 // thread-safe (scratch lives in the thread-local workspace arena), so
@@ -27,7 +34,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,13 +48,9 @@ enum class ExecMode { Dense, Csr, Shrunk };
 std::string to_string(ExecMode mode);
 ExecMode exec_mode_from_name(const std::string& name);
 
-/// One compiled operation. Implementations live in executor.cpp.
-class Op {
- public:
-  virtual ~Op() = default;
-  /// x: [N, ...]; must not mutate any state (thread-safety contract).
-  virtual Tensor run(const Tensor& x) const = 0;
-};
+/// One compiled operation: x [N, ...] -> y [N, ...]. Must not mutate any
+/// state (thread-safety contract). Built by compile() in executor.cpp.
+using Op = std::function<Tensor(const Tensor&)>;
 
 class Executor {
  public:
@@ -74,7 +77,7 @@ class Executor {
   Shape sample_shape_;
   int64_t flops_dense_ = 0;
   int64_t flops_effective_ = 0;
-  std::vector<std::unique_ptr<Op>> ops_;
+  std::vector<Op> ops_;
 };
 
 /// Compiles the model for the given per-sample input shape. Csr/Shrunk

@@ -7,12 +7,6 @@
 
 namespace shrinkbench {
 
-namespace {
-// Minimum output elements per parallel chunk: lowering is pure copies,
-// so chunks below this are cheaper to run on the calling thread.
-constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
-}  // namespace
-
 void im2col_ld(const ConvGeometry& g, const float* image, float* cols, int64_t ld) {
   if (obs::profiling_enabled()) {
     obs::count("im2col.calls");
@@ -22,8 +16,7 @@ void im2col_ld(const ConvGeometry& g, const float* image, float* cols, int64_t l
   const int64_t kk = g.kernel_h * g.kernel_w;
   // Every column row is written by exactly one chunk, so the partition
   // cannot change any output value.
-  const int64_t grain = std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(oh * ow, 1));
-  parallel_for(0, g.col_rows(), grain, [&](int64_t r0, int64_t r1) {
+  parallel_for(0, g.col_rows(), work_grain(oh * ow), [&](int64_t r0, int64_t r1) {
     for (int64_t row = r0; row < r1; ++row) {
       const int64_t c = row / kk;
       const int64_t kh = (row % kk) / g.kernel_w;
@@ -98,8 +91,7 @@ void col2im_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* imag
   // finest partition that keeps both the writes disjoint and the
   // accumulation order identical to the sequential loop.
   const int64_t per_channel = g.kernel_h * g.kernel_w * oh * ow;
-  const int64_t grain = std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_channel, 1));
-  parallel_for(0, g.in_c, grain, [&](int64_t c0, int64_t c1) {
+  parallel_for(0, g.in_c, work_grain(per_channel), [&](int64_t c0, int64_t c1) {
     col2im_channels_ld(g, cols + c0 * g.kernel_h * g.kernel_w * ld, ld,
                        image + c0 * g.in_h * g.in_w, c1 - c0);
   });

@@ -121,6 +121,15 @@ inline void parallel_for(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
   ThreadPool::instance().parallel_for(begin, end, grain, static_cast<Fn&&>(fn));
 }
 
+/// Grain for a parallel_for whose every index touches `per_index_elems`
+/// elements: chunks below 2^16 touched elements stay on the calling
+/// thread. The grain only decides where chunk boundaries fall, never
+/// what a chunk computes, so it cannot change any output bit.
+inline int64_t work_grain(int64_t per_index_elems) {
+  constexpr int64_t kMinElemsPerChunk = int64_t{1} << 16;
+  return std::max<int64_t>(1, kMinElemsPerChunk / std::max<int64_t>(per_index_elems, 1));
+}
+
 /// Static 2-D tile grid for fused (sample × channel-tile) parallelism.
 ///
 /// The conv hot paths parallelize over samples, which starves the pool

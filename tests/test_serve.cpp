@@ -1,7 +1,7 @@
 // Serving engine tests: compiler parity against the eval-mode model,
-// dynamic-batcher semantics (max-wait flush, full-batch flush, lossless
-// drain), parallel CSR matmul determinism, and steady-state zero-growth
-// of the sparse inference scratch paths.
+// input rejection shared with the eager layers, dynamic-batcher semantics
+// (max-wait flush, full-batch flush, lossless drain), parallel CSR matmul
+// determinism, and steady-state zero arena growth in every exec mode.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -19,10 +19,10 @@
 #include "core/pruner.hpp"
 #include "core/scoring.hpp"
 #include "models/zoo.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "nn/layer.hpp"
 #include "nn/linear.hpp"
+#include "nn/pool.hpp"
 #include "nn/sparse.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
@@ -140,6 +140,29 @@ TEST(ServeExecutor, ForwardRejectsWrongSampleShape) {
   EXPECT_THROW(exec.forward(bad), std::invalid_argument);
 }
 
+TEST(ServeExecutor, PoolRejectsInputsEagerRejects) {
+  // A 2x2 / stride-2 pool compiled for 4x4 maps and fed 5x5 ones: the
+  // window grid does not tile the input, so the eager layer throws, and
+  // the executor must throw too instead of dropping the ragged edge.
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    for (const bool max : {true, false}) {
+      Sequential model("m");
+      if (max) {
+        model.emplace<MaxPool2d>("pool", 2, 2);
+      } else {
+        model.emplace<AvgPool2d>("pool", 2, 2);
+      }
+      const serve::Executor exec = serve::compile(model, {1, 4, 4}, mode);
+      const Tensor ragged({1, 1, 5, 5});
+      EXPECT_THROW(model.forward(ragged, /*train=*/false), std::invalid_argument);
+      EXPECT_THROW(exec.forward(ragged), std::invalid_argument)
+          << serve::to_string(mode) << (max ? " max" : " avg") << " pool served a ragged input";
+      EXPECT_THROW(exec.forward(Tensor({1, 16})), std::invalid_argument)
+          << serve::to_string(mode) << (max ? " max" : " avg") << " pool served a rank-2 input";
+    }
+  }
+}
+
 TEST(ServeExecutor, ModeNamesRoundTrip) {
   for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
     EXPECT_EQ(serve::exec_mode_from_name(serve::to_string(mode)), mode);
@@ -199,51 +222,28 @@ TEST(ServeKernels, CsrMatmulParallelBitMatchesSerial) {
   EXPECT_TRUE(ops::allclose(serial, threaded, 0, 0));
 }
 
-// ---- sparse inference scratch: steady-state zero growth ----
-
-TEST(ServeWorkspace, SparseInferencePathsReachSteadyState) {
-  Rng rng(7);
-  Conv2d conv("c", 4, 8, 3, 1, 1, /*bias=*/true);
-  Linear lin("l", 48, 16);
-  init_model(conv, rng);
-  init_model(lin, rng);
-  for (float& v : conv.weight().data.flat()) {
-    if (rng.bernoulli(0.6)) v = 0.0f;
-  }
-  for (float& v : lin.weight().data.flat()) {
-    if (rng.bernoulli(0.6)) v = 0.0f;
-  }
-  const SparseConv2dInference sconv(conv);
-  const SparseLinearInference slin(lin);
-  Tensor xc({2, 4, 10, 10}), xl({5, 48});
-  rng.fill_normal(xc, 0, 1);
-  rng.fill_normal(xl, 0, 1);
-  for (int i = 0; i < 3; ++i) {  // warm-up grows the arena once
-    sconv.forward(xc);
-    slin.forward(xl);
-  }
-  Workspace& ws = Workspace::tls();
-  const int64_t grows = ws.grow_count();
-  const size_t cap = ws.capacity();
-  for (int i = 0; i < 5; ++i) {
-    sconv.forward(xc);
-    slin.forward(xl);
-  }
-  EXPECT_EQ(ws.grow_count(), grows) << "sparse forward allocated scratch per call";
-  EXPECT_EQ(ws.capacity(), cap);
-}
+// ---- executor scratch: steady-state zero growth ----
 
 TEST(ServeWorkspace, ExecutorForwardReachesSteadyState) {
-  ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Unstructured, 0.25);
-  const serve::Executor exec = serve::compile(*m, kCifarSample, ExecMode::Csr);
-  Rng rng(9);
-  Tensor x({4, 3, 32, 32});
-  rng.fill_normal(x, 0, 1);
-  for (int i = 0; i < 3; ++i) exec.forward(x);
-  Workspace& ws = Workspace::tls();
-  const int64_t grows = ws.grow_count();
-  for (int i = 0; i < 3; ++i) exec.forward(x);
-  EXPECT_EQ(ws.grow_count(), grows) << "executor grew the arena after warm-up";
+  // Every mode's kernels take their scratch from the thread-local arena,
+  // so once warm-up has grown it, forwards must never grow it again.
+  for (const char* arch : {"cifar-vgg", "resnet-20"}) {
+    ModelPtr m = pruned_zoo_model(arch, kCifarSample, Structure::Channel, 0.5);
+    for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+      const serve::Executor exec = serve::compile(*m, kCifarSample, mode);
+      Rng rng(9);
+      Tensor x({4, 3, 32, 32});
+      rng.fill_normal(x, 0, 1);
+      for (int i = 0; i < 3; ++i) exec.forward(x);
+      Workspace& ws = Workspace::tls();
+      const int64_t grows = ws.grow_count();
+      const size_t cap = ws.capacity();
+      for (int i = 0; i < 3; ++i) exec.forward(x);
+      EXPECT_EQ(ws.grow_count(), grows)
+          << arch << " " << serve::to_string(mode) << " grew the arena after warm-up";
+      EXPECT_EQ(ws.capacity(), cap);
+    }
+  }
 }
 
 // ---- dynamic batcher ----

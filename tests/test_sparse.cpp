@@ -1,9 +1,12 @@
 // Sparse inference tests: CSR construction, sparse matmul correctness,
-// and agreement between dense and sparse execution of pruned layers.
+// and agreement between dense and sparse execution of pruned layers. The
+// layer cases run one-layer models through the serving executor's Csr
+// mode, the repository's one CSR inference path.
 #include <gtest/gtest.h>
 
 #include "nn/init.hpp"
 #include "nn/sparse.hpp"
+#include "serve/executor.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -43,18 +46,6 @@ TEST(Csr, RejectsColumnCountBeyondInt32) {
   EXPECT_THROW(csr_from_dense(nullptr, 0, too_wide), std::invalid_argument);
 }
 
-TEST(Csr, FromParameterAppliesMask) {
-  Parameter p("w", {2, 3}, true);
-  p.data.fill(5.0f);
-  p.mask = Tensor({2, 3}, {1, 0, 1, 0, 0, 1});
-  const CsrMatrix csr = csr_from_parameter(p);
-  EXPECT_EQ(csr.nnz(), 3);
-  const Tensor dense = csr_to_dense(csr);
-  EXPECT_EQ(dense(0, 0), 5.0f);
-  EXPECT_EQ(dense(0, 1), 0.0f);
-  EXPECT_EQ(dense(1, 2), 5.0f);
-}
-
 class CsrMatmulSparsity : public ::testing::TestWithParam<double> {};
 
 TEST_P(CsrMatmulSparsity, MatchesDenseGemm) {
@@ -76,72 +67,81 @@ INSTANTIATE_TEST_SUITE_P(Sparsities, CsrMatmulSparsity,
                          ::testing::Values(0.0, 0.25, 0.5, 0.9, 0.99, 1.0));
 
 TEST(SparseConv, MatchesDenseForwardUnderMask) {
-  Conv2d conv("c", 3, 5, 3, 1, 1, true);
+  Sequential model("m");
+  model.emplace<Conv2d>("c", 3, 5, 3, 1, 1, true);
+  auto& conv = static_cast<Conv2d&>(model[0]);
   Rng rng(3);
   kaiming_normal(conv.weight().data, rng);
   rng.fill_normal(conv.bias()->data, 0, 0.1f);
-  // Prune 80% of the weights.
+  // Prune 80% of the weights. The mask is not yet applied to the data:
+  // the Csr executor must multiply it in itself.
   rng.fill_bernoulli(conv.weight().mask, 0.2);
-  conv.weight().apply_mask();
+  const serve::Executor sparse = serve::compile(model, {3, 6, 6}, serve::ExecMode::Csr);
+  EXPECT_NEAR(1.0 / sparse.theoretical_speedup(), 0.2, 0.07);
 
+  conv.weight().apply_mask();
   Tensor x({4, 3, 6, 6});
   rng.fill_normal(x, 0, 1);
-  const Tensor dense_out = conv.forward(x, false);
-
-  const SparseConv2dInference sparse(conv);
-  EXPECT_NEAR(sparse.density(), 0.2, 0.07);
-  const Tensor sparse_out = sparse.forward(x);
-  EXPECT_TRUE(ops::allclose(sparse_out, dense_out, 1e-4f, 1e-4f));
+  EXPECT_TRUE(ops::allclose(sparse.forward(x), conv.forward(x, false), 1e-4f, 1e-4f));
 }
 
 TEST(SparseConv, StridedAndPaddedGeometry) {
-  Conv2d conv("c", 2, 4, 3, 2, 1, false);
+  Sequential model("m");
+  model.emplace<Conv2d>("c", 2, 4, 3, 2, 1, false);
+  auto& conv = static_cast<Conv2d&>(model[0]);
   Rng rng(5);
   kaiming_normal(conv.weight().data, rng);
   Tensor x({2, 2, 7, 7});
   rng.fill_normal(x, 0, 1);
-  const SparseConv2dInference sparse(conv);
+  const serve::Executor sparse = serve::compile(model, {2, 7, 7}, serve::ExecMode::Csr);
   EXPECT_TRUE(ops::allclose(sparse.forward(x), conv.forward(x, false), 1e-4f, 1e-4f));
 }
 
 TEST(SparseConv, RejectsWrongInput) {
-  Conv2d conv("c", 3, 4, 3, 1, 1, false);
-  const SparseConv2dInference sparse(conv);
+  Sequential model("m");
+  model.emplace<Conv2d>("c", 3, 4, 3, 1, 1, false);
+  const serve::Executor sparse = serve::compile(model, {3, 6, 6}, serve::ExecMode::Csr);
   EXPECT_THROW(sparse.forward(Tensor({1, 2, 6, 6})), std::invalid_argument);
+  EXPECT_THROW(sparse.forward(Tensor({1, 3, 6})), std::invalid_argument);
 }
 
 TEST(SparseLinear, MatchesDenseForwardUnderMask) {
-  Linear fc("fc", 10, 6, true);
+  Sequential model("m");
+  model.emplace<Linear>("fc", 10, 6, true);
+  auto& fc = static_cast<Linear&>(model[0]);
   Rng rng(7);
   kaiming_normal(fc.weight().data, rng);
   rng.fill_normal(fc.bias()->data, 0, 0.1f);
   rng.fill_bernoulli(fc.weight().mask, 0.3);
-  fc.weight().apply_mask();
+  const serve::Executor sparse = serve::compile(model, {10}, serve::ExecMode::Csr);
 
+  fc.weight().apply_mask();
   Tensor x({5, 10});
   rng.fill_normal(x, 0, 1);
-  const SparseLinearInference sparse(fc);
   EXPECT_TRUE(ops::allclose(sparse.forward(x), fc.forward(x, false), 1e-4f, 1e-4f));
 }
 
+TEST(SparseLinear, RejectsWrongInput) {
+  Sequential model("m");
+  model.emplace<Linear>("fc", 10, 6, true);
+  const serve::Executor sparse = serve::compile(model, {10}, serve::ExecMode::Csr);
+  EXPECT_THROW(sparse.forward(Tensor({2, 9})), std::invalid_argument);
+}
+
 TEST(SparseLinear, FullyPrunedYieldsBiasOnly) {
-  Linear fc("fc", 4, 3, true);
+  Sequential model("m");
+  model.emplace<Linear>("fc", 4, 3, true);
+  auto& fc = static_cast<Linear&>(model[0]);
   Rng rng(9);
   kaiming_normal(fc.weight().data, rng);
   fc.bias()->data = Tensor::of({1.0f, 2.0f, 3.0f});
   fc.weight().mask.zero();
-  fc.weight().apply_mask();
-  const SparseLinearInference sparse(fc);
+  const serve::Executor sparse = serve::compile(model, {4}, serve::ExecMode::Csr);
   Tensor x({2, 4});
   rng.fill_normal(x, 0, 1);
   const Tensor y = sparse.forward(x);
   EXPECT_FLOAT_EQ(y(0, 0), 1.0f);
   EXPECT_FLOAT_EQ(y(1, 2), 3.0f);
-}
-
-TEST(Csr, RejectsRankOneParameter) {
-  Parameter bias("b", {4}, false);
-  EXPECT_THROW(csr_from_parameter(bias), std::invalid_argument);
 }
 
 }  // namespace
