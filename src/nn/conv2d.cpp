@@ -67,7 +67,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   SB_PROFILE_SCOPE("conv2d.fwd");
   if (obs::profiling_enabled()) obs::count("conv2d.fwd.calls");
   const ConvGeometry g = conv_geometry(name(), x, in_c_, kernel_, stride_, pad_);
-  const OutputRows rows{nullptr, nullptr, has_bias_ ? bias_.data.data() : nullptr};
+  const ConvBias bias{has_bias_ ? bias_.data.data() : nullptr};
   if (train) cached_input_ = x;
   if (!(train && cache_cols_enabled())) {
     // Only a training forward may touch the validity flag: eval-mode
@@ -75,7 +75,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // share one model, and the (cached_input_, cached_cols_) pair from
     // the last training forward stays mutually consistent for backward.
     if (train) cached_cols_valid_ = false;
-    return conv2d_eval(x, g, weight_.data.data(), out_c_, rows);
+    return conv2d_eval(x, g, weight_.data.data(), out_c_, bias);
   }
 
   // SB_CONV_CACHE_COLS=1 training forward: backward reuses the full
@@ -102,7 +102,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
        out_cm, ld);
   Tensor y({n, out_c_, g.out_h(), g.out_w()});
   parallel_for(0, n, work_grain(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
-    conv_epilogue(out_cm + n0 * spatial, 0, ld, {n0, n1}, {0, out_c_}, out_c_, spatial, rows,
+    conv_epilogue(out_cm + n0 * spatial, ld, {n0, n1}, {0, out_c_}, out_c_, spatial, bias,
                   y.data());
   });
   return y;
@@ -241,22 +241,19 @@ ConvGeometry conv_geometry(const std::string& who, const Tensor& x, int64_t in_c
   return g;
 }
 
-void conv_epilogue(const float* cm, int64_t r0, int64_t ld, Grid2d::Range samples,
-                   Grid2d::Range channels, int64_t out_c, int64_t spatial, const OutputRows& out,
-                   float* y) {
+void conv_epilogue(const float* cm, int64_t ld, Grid2d::Range samples, Grid2d::Range channels,
+                   int64_t out_c, int64_t spatial, ConvBias bias, float* y) {
   for (int64_t c = channels.lo; c < channels.hi; ++c) {
-    const int64_t r = out.row(c);
+    const float* plane = bias.per_position ? bias.data + c * spatial : nullptr;
     for (int64_t i = samples.lo; i < samples.hi; ++i) {
+      const float* src = cm + (c - channels.lo) * ld + (i - samples.lo) * spatial;
       float* dst = y + (i * out_c + c) * spatial;
-      if (r < 0) {
-        std::fill(dst, dst + spatial, out.fill[c]);
-        continue;
-      }
-      const float* src = cm + (r - r0) * ld + (i - samples.lo) * spatial;
-      if (out.bias == nullptr) {
+      if (bias.data == nullptr) {
         std::copy(src, src + spatial, dst);
+      } else if (plane != nullptr) {
+        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + plane[sp];
       } else {
-        const float b = out.bias[c];
+        const float b = bias.data[c];
         for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
       }
     }
@@ -264,7 +261,7 @@ void conv_epilogue(const float* cm, int64_t r0, int64_t ld, Grid2d::Range sample
 }
 
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
-                   const OutputRows& out) {
+                   ConvBias bias) {
   const int64_t n = x.size(0);
   const int64_t spatial = g.col_cols();
   const int64_t image_numel = g.in_c * g.in_h * g.in_w;
@@ -295,25 +292,12 @@ Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, 
         im2col_ld(g, x.data() + i * image_numel, cols + (i - s.lo) * spatial, tile_ld);
       }
       for (; t < row_end; ++t) {
-        // The row map is monotone over live channels, so a channel
-        // tile's live rows form one contiguous span of the weight matrix
-        // and the tile GEMM runs over exactly that span.
         const Grid2d::Range cr = grid.range1(grid.tile1(t));
-        int64_t r_lo = -1, r_hi = -1;
-        for (int64_t c = cr.lo; c < cr.hi; ++c) {
-          const int64_t r = out.row(c);
-          if (r < 0) continue;
-          if (r_lo < 0) r_lo = r;
-          r_hi = r + 1;
-        }
         Workspace::Scope out_scope;
-        float* out_cm = nullptr;
-        if (r_lo >= 0) {
-          out_cm = ws.floats(static_cast<size_t>((r_hi - r_lo) * tile_ld));
-          gemm(false, false, r_hi - r_lo, tile_ld, col_rows, 1.0f, weight + r_lo * col_rows,
-               col_rows, cols, tile_ld, 0.0f, out_cm, tile_ld);
-        }
-        conv_epilogue(out_cm, r_lo, tile_ld, s, cr, out_c, spatial, out, y.data());
+        float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * tile_ld));
+        gemm(false, false, cr.hi - cr.lo, tile_ld, col_rows, 1.0f, weight + cr.lo * col_rows,
+             col_rows, cols, tile_ld, 0.0f, out_cm, tile_ld);
+        conv_epilogue(out_cm, tile_ld, s, cr, out_c, spatial, bias, y.data());
       }
     }
   });

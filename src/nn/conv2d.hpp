@@ -46,23 +46,27 @@ class Conv2d : public Layer {
 ConvGeometry conv_geometry(const std::string& who, const Tensor& x, int64_t in_c, int64_t kernel,
                            int64_t stride, int64_t pad);
 
+/// Bias of the eval conv epilogue: data[c] for output channel c or, when
+/// per_position, the plane data[c * oh*ow + sp] (the channel-shrunk
+/// executor's border-dependent constant term); nullptr adds nothing.
+struct ConvBias {
+  const float* data = nullptr;
+  bool per_position = false;
+};
+
 /// Conv epilogue: writes the y[i, c] planes (y is [N, out_c, spatial])
 /// for the given samples and channels from a channel-major product `cm`,
-/// in which weight row r of sample i starts at
-/// cm + (r - r0) * ld + (i - samples.lo) * spatial. Live channels get
-/// bias added; dead ones the fill constant (see OutputRows).
-void conv_epilogue(const float* cm, int64_t r0, int64_t ld, Grid2d::Range samples,
-                   Grid2d::Range channels, int64_t out_c, int64_t spatial, const OutputRows& out,
-                   float* y);
+/// in which channel c of sample i starts at
+/// cm + (c - channels.lo) * ld + (i - samples.lo) * spatial, adding bias.
+void conv_epilogue(const float* cm, int64_t ld, Grid2d::Range samples, Grid2d::Range channels,
+                   int64_t out_c, int64_t spatial, ConvBias bias, float* y);
 
 /// Eval convolution of x ([N, in_c, H, W], geometry g) over the fused
 /// (sample × out-channel-tile) grid: each tile stages im2col for its
 /// samples in the thread-local arena and runs its weight rows' sub-GEMM
 /// plus the epilogue while the columns are cache-hot. weight is
-/// [rows, g.col_rows()] row-major; `out` maps the out_c channels onto its
-/// rows (identity for Conv2d and the dense executor, live rows only for
-/// the channel-shrunk one). Returns [N, out_c, oh, ow].
+/// [out_c, g.col_rows()] row-major. Returns [N, out_c, oh, ow].
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
-                   const OutputRows& out);
+                   ConvBias bias);
 
 }  // namespace shrinkbench

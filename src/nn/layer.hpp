@@ -99,16 +99,4 @@ void check_nchw(const std::string& who, const Tensor& x, int64_t channels = -1);
 // the serving executor (src/serve) both call it, so the dense executor
 // matches the eager model bit for bit by construction.
 
-/// Output-row epilogue of the eval conv/linear kernels. Output c reads
-/// weight row row(c) of a possibly packed weight matrix and adds bias[c]
-/// (bias == nullptr: no bias). row_of == nullptr is the identity map;
-/// row_of[c] < 0 marks a dead output, written as the constant fill[c].
-struct OutputRows {
-  const int32_t* row_of = nullptr;
-  const float* fill = nullptr;
-  const float* bias = nullptr;
-
-  int64_t row(int64_t c) const { return row_of == nullptr ? c : row_of[c]; }
-};
-
 }  // namespace shrinkbench

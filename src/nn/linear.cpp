@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "tensor/gemm.hpp"
-#include "tensor/workspace.hpp"
 
 namespace shrinkbench {
 
@@ -22,8 +21,7 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features, bool
 Tensor Linear::forward(const Tensor& x, bool train) {
   check_features(name(), x, in_);
   if (train) cached_input_ = x;
-  return linear_eval(x, weight_.data.data(), out_, out_,
-                     OutputRows{nullptr, nullptr, has_bias_ ? bias_.data.data() : nullptr});
+  return linear_eval(x, weight_.data.data(), out_, has_bias_ ? bias_.data.data() : nullptr);
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
@@ -71,45 +69,19 @@ void check_features(const std::string& who, const Tensor& x, int64_t in) {
   }
 }
 
-void linear_epilogue(const float* src, int64_t sample_stride, int64_t row_stride, int64_t n,
-                     int64_t out_features, const OutputRows& out, float* y) {
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < out_features; ++j) {
-      const int64_t r = out.row(j);
-      float v = r < 0 ? out.fill[j] : src[i * sample_stride + r * row_stride];
-      if (r >= 0 && out.bias != nullptr) v += out.bias[j];
-      y[i * out_features + j] = v;
-    }
-  }
-}
-
-Tensor linear_eval(const Tensor& x, const float* weight, int64_t rows, int64_t out_features,
-                   const OutputRows& out) {
+Tensor linear_eval(const Tensor& x, const float* weight, int64_t out_features, const float* bias) {
   const int64_t n = x.size(0), in = x.size(1);
   Tensor y({n, out_features});
-  if (out.row_of == nullptr) {
-    // y = x [N, in] * W^T [in, out] (+ bias). The bias add is fused into
-    // the GEMM epilogue: pre-fill each output row with the bias and
-    // accumulate (beta = 1) instead of overwriting and making a second
-    // pass over y.
-    if (out.bias != nullptr) {
-      float* yp = y.data();
-      for (int64_t i = 0; i < n; ++i) {
-        std::copy(out.bias, out.bias + out_features, yp + i * out_features);
-      }
-    }
-    gemm(false, /*trans_b=*/true, n, out_features, in, 1.0f, x.data(), in, weight, in,
-         out.bias != nullptr ? 1.0f : 0.0f, y.data(), out_features);
-    return y;
+  // y = x [N, in] * W^T [in, out] (+ bias). The bias add is fused into
+  // the GEMM epilogue: pre-fill each output row with the bias and
+  // accumulate (beta = 1) instead of overwriting and making a second
+  // pass over y.
+  if (bias != nullptr) {
+    float* yp = y.data();
+    for (int64_t i = 0; i < n; ++i) std::copy(bias, bias + out_features, yp + i * out_features);
   }
-  // Packed rows: GEMM over the live rows only, scattered to full width.
-  Workspace::Scope scope;
-  float* y_live = Workspace::tls().floats(static_cast<size_t>(n * std::max<int64_t>(rows, 1)));
-  if (rows > 0) {
-    gemm(false, /*trans_b=*/true, n, rows, in, 1.0f, x.data(), in, weight, in, 0.0f, y_live,
-         rows);
-  }
-  linear_epilogue(y_live, rows, 1, n, out_features, out, y.data());
+  gemm(false, /*trans_b=*/true, n, out_features, in, 1.0f, x.data(), in, weight, in,
+       bias != nullptr ? 1.0f : 0.0f, y.data(), out_features);
   return y;
 }
 

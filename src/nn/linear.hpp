@@ -35,18 +35,9 @@ class Linear : public Layer {
 /// Throws std::invalid_argument naming `who` unless x is [N, in].
 void check_features(const std::string& who, const Tensor& x, int64_t in);
 
-/// Writes y [n, out_features] from per-row results, row r of sample i at
-/// src[i * sample_stride + r * row_stride]: bias added to live outputs,
-/// dead ones the fill constant (see OutputRows).
-void linear_epilogue(const float* src, int64_t sample_stride, int64_t row_stride, int64_t n,
-                     int64_t out_features, const OutputRows& out, float* y);
-
-/// Eval fully-connected layer: y = x W^T + bias for x [N, in] and a
-/// weight matrix of `rows` rows [rows, in]. The identity map (Linear and
-/// the dense executor) fuses the bias into the GEMM (beta = 1); a packed
-/// map (channel-shrunk executor) multiplies the live rows only and
-/// scatters them through linear_epilogue.
-Tensor linear_eval(const Tensor& x, const float* weight, int64_t rows, int64_t out_features,
-                   const OutputRows& out);
+/// Eval fully-connected layer: y = x W^T + bias for x [N, in] and weight
+/// [out_features, in], the bias add fused into the GEMM (bias == nullptr:
+/// none).
+Tensor linear_eval(const Tensor& x, const float* weight, int64_t out_features, const float* bias);
 
 }  // namespace shrinkbench

@@ -7,11 +7,6 @@
 
 namespace shrinkbench {
 
-void residual_join(Tensor& main, const Tensor& shortcut, bool final_relu) {
-  ops::add_inplace(main, shortcut);
-  if (final_relu) relu_inplace(main);
-}
-
 ResidualBlock::ResidualBlock(std::string name, std::unique_ptr<Sequential> main,
                              std::unique_ptr<Sequential> shortcut, bool final_relu)
     : Layer(std::move(name)),
@@ -23,7 +18,8 @@ ResidualBlock::ResidualBlock(std::string name, std::unique_ptr<Sequential> main,
 
 Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   Tensor main_out = main_->forward(x, train);
-  residual_join(main_out, shortcut_ ? shortcut_->forward(x, train) : x, final_relu_);
+  ops::add_inplace(main_out, shortcut_ ? shortcut_->forward(x, train) : x);
+  if (final_relu_) relu_inplace(main_out);
   if (train) cached_sum_ = main_out;
   return main_out;
 }

@@ -44,7 +44,4 @@ class ResidualBlock : public Layer {
   Tensor cached_sum_;                     // pre-ReLU sum, for ReLU backward
 };
 
-/// The block's join: main += shortcut, then ReLU when final_relu.
-void residual_join(Tensor& main, const Tensor& shortcut, bool final_relu);
-
 }  // namespace shrinkbench

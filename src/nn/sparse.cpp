@@ -24,7 +24,7 @@ CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float t
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = dense + r * cols;
     for (int64_t c = 0; c < cols; ++c) {
-      if (std::fabs(row[c]) > tol) {
+      if (!(std::fabs(row[c]) <= tol)) {  // keeps NaN
         csr.col_idx.push_back(static_cast<int32_t>(c));
         csr.values.push_back(row[c]);
       }
@@ -69,7 +69,8 @@ Tensor csr_to_dense(const CsrMatrix& csr) {
 }
 
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
-                       int64_t out_c, const OutputRows& out) {
+                       const float* bias) {
+  const int64_t out_c = w.rows;
   const int64_t n = x.size(0);
   const int64_t spatial = g.col_cols();
   const int64_t ld = n * spatial;
@@ -86,19 +87,18 @@ Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& 
       im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
     }
   });
-  float* out_cm = ws.floats(static_cast<size_t>(std::max<int64_t>(w.rows, 1) * ld));
+  float* out_cm = ws.floats(static_cast<size_t>(out_c * ld));
   csr_matmul(w, cols, ld, out_cm);
 
   Tensor y({n, out_c, g.out_h(), g.out_w()});
   parallel_for(0, n, work_grain(out_c * spatial), [&](int64_t n0, int64_t n1) {
-    conv_epilogue(out_cm + n0 * spatial, 0, ld, {n0, n1}, {0, out_c}, out_c, spatial, out,
+    conv_epilogue(out_cm + n0 * spatial, ld, {n0, n1}, {0, out_c}, out_c, spatial, {bias},
                   y.data());
   });
   return y;
 }
 
-Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, int64_t out_features,
-                       const OutputRows& out) {
+Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, const float* bias) {
   const int64_t n = x.size(0), in = w.cols;
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
@@ -110,8 +110,13 @@ Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, int64_t out_features
   }
   float* yt = ws.floats(static_cast<size_t>(w.rows * n));
   csr_matmul(w, xt, n, yt);
-  Tensor y({n, out_features});
-  linear_epilogue(yt, 1, n, n, out_features, out, y.data());
+  Tensor y({n, w.rows});
+  float* yp = y.data();
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < w.rows; ++j) {
+      yp[i * w.rows + j] = bias != nullptr ? yt[j * n + i] + bias[j] : yt[j * n + i];
+    }
+  }
   return y;
 }
 

@@ -5,12 +5,12 @@
 // parameter and FLOP counts are proxies, not wall-clock. This module holds
 // the CSR half of the eval lowering: the CSR matrix, its matmul, and the
 // CSR conv and linear kernels that the serving executor's Csr mode runs
-// (serve/executor.hpp). Their epilogues are the dense kernels' own
-// (conv_epilogue, linear_epilogue), so a CSR layer differs from its dense
-// twin only in the matrix product. bench/ablation_sparse_inference times
-// one-layer Csr executors against Dense ones to locate the sparsity where
-// sparse execution actually overtakes the dense kernels (typically far
-// above the 50-75% a "2-4x compression" headline suggests).
+// (serve/executor.hpp). The CSR conv shares the dense one's epilogue
+// (conv_epilogue), so it differs from its dense twin only in the matrix
+// product. bench/ablation_sparse_inference times one-layer Csr executors
+// against Dense ones to locate the sparsity where sparse execution
+// actually overtakes the dense kernels (typically far above the 50-75% a
+// "2-4x compression" headline suggests).
 //
 // Inference-only: backward is intentionally unsupported.
 #pragma once
@@ -40,6 +40,8 @@ struct CsrMatrix {
 
 /// Builds CSR from a dense row-major matrix, dropping entries where
 /// |value| <= tol (masked weights are exactly zero, so tol = 0 suffices).
+/// NaN entries are kept, so a diverged weight poisons the product just
+/// as it does in the dense kernels instead of silently vanishing.
 CsrMatrix csr_from_dense(const float* dense, int64_t rows, int64_t cols, float tol = 0.0f);
 
 /// dense_out[rows, n] = csr[rows, cols] * dense_in[cols, n]; out must be
@@ -50,15 +52,15 @@ void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* d
 Tensor csr_to_dense(const CsrMatrix& csr);
 
 /// CSR eval convolution of x ([N, in_c, H, W], geometry g) with weight
-/// rows w [rows, g.col_rows()]: one batched im2col and one csr_matmul
-/// (which already fans out over its rows, so batch 1 saturates the pool
-/// without the fused grid), then conv_epilogue. Returns [N, out_c, oh, ow].
+/// w [out_c, g.col_rows()]: one batched im2col and one csr_matmul (which
+/// already fans out over its rows, so batch 1 saturates the pool without
+/// the fused grid), then conv_epilogue with a per-channel bias (nullptr:
+/// none). Returns [N, out_c, oh, ow].
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
-                       int64_t out_c, const OutputRows& out);
+                       const float* bias);
 
-/// CSR eval fully-connected layer: y = x W^T + bias for x [N, w.cols],
-/// through linear_epilogue. Returns [N, out_features].
-Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, int64_t out_features,
-                       const OutputRows& out);
+/// CSR eval fully-connected layer: y = x W^T + bias for x [N, w.cols]
+/// (bias == nullptr: none). Returns [N, w.rows].
+Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, const float* bias);
 
 }  // namespace shrinkbench

@@ -15,6 +15,8 @@
 #include "nn/sparse.hpp"
 #include "obs/profile.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/threadpool.hpp"
+#include "tensor/workspace.hpp"
 
 namespace shrinkbench::serve {
 
@@ -26,20 +28,69 @@ Tensor run_ops(const std::vector<Op>& ops, const Tensor& x) {
   return h;
 }
 
-// A conv or linear layer's weight matrix [out, cols] in the form its
-// mode executes: full dense rows (Dense), CSR (Csr), or only the live
-// rows (Shrunk) plus the row map and dead-output fill constants.
-struct PackedWeights {
-  Tensor dense;                 // Dense/Shrunk: [rows, cols]
-  CsrMatrix csr;                // Csr: [out, cols]
-  std::vector<int32_t> row_of;  // Shrunk: out entries, -1 = dead; else empty (identity)
-  std::vector<float> fill;      // Shrunk: out entries, dead-output constant
-  std::vector<float> bias;      // out entries, empty = no bias
+// Elements per channel of x: the product of the axes past the channel
+// axis (1 for [N, C]).
+int64_t per_channel(const Tensor& x) {
+  int64_t s = 1;
+  for (int64_t d = 2; d < x.dim(); ++d) s *= x.size(d);
+  return s;
+}
 
-  OutputRows rows() const {
-    return {row_of.empty() ? nullptr : row_of.data(), fill.empty() ? nullptr : fill.data(),
-            bias.empty() ? nullptr : bias.data()};
+float relu_of(float v) { return v < 0.0f ? 0.0f : v; }
+
+// Channel layout of a compact activation. Logical channel c (axis 1 of
+// the model's own activation; a feature of a [N, F] one) is either live,
+// stored at compact index slot[c] (value[c] is then 0), or dead
+// (slot[c] < 0): the compile-time constant value[c] at every position.
+// Live channels keep
+// their logical order. Only Shrunk makes dead channels; Dense and Csr
+// activations stay all live. flat marks an activation the model has
+// flattened: the compact tensor keeps its channel axis, and the linear
+// op that consumes it reads the features channel-major.
+struct Layout {
+  std::vector<int32_t> slot;
+  std::vector<float> value;
+  bool flat = false;
+
+  static Layout all_live(int64_t channels) {
+    Layout l;
+    for (int64_t c = 0; c < channels; ++c) l.slot.push_back(static_cast<int32_t>(c));
+    l.value.assign(static_cast<size_t>(channels), 0.0f);
+    return l;
   }
+
+  int64_t channels() const { return static_cast<int64_t>(slot.size()); }
+  bool dead(int64_t c) const { return slot[static_cast<size_t>(c)] < 0; }
+  float constant(int64_t c) const { return value[static_cast<size_t>(c)]; }
+
+  std::vector<int64_t> live() const {
+    std::vector<int64_t> ids;
+    for (int64_t c = 0; c < channels(); ++c) {
+      if (!dead(c)) ids.push_back(c);
+    }
+    return ids;
+  }
+};
+
+// A conv or linear layer's weight matrix in the form its mode executes:
+// dense rows (Dense, Shrunk) or CSR (Csr), over the live input columns.
+struct PackedWeights {
+  Tensor dense;             // Dense/Shrunk: [rows, cols]
+  CsrMatrix csr;            // Csr: [rows, cols]
+  std::vector<float> bias;  // rows entries, empty = no bias
+
+  int64_t rows() const { return dense.size(0); }
+  const float* b() const { return bias.empty() ? nullptr : bias.data(); }
+};
+
+// A conv or linear layer lowered onto its input layout.
+struct Lowered {
+  PackedWeights weights;
+  // Conv with padding, when a dead input has a nonzero term: per live
+  // row, the k×k kernel Σ_dead value[c]·W[o, c] ([rows, k*k]); a tap
+  // contributes only where it lands inside the image.
+  std::vector<float> border;
+  Layout out;
 };
 
 // Eval-mode batch-norm constants, per channel; inv_std is computed
@@ -59,13 +110,97 @@ BnConstants bn_constants(BatchNorm2d& bn) {
   return k;
 }
 
+// Bias plane [rows, oh*ow] of a padded conv whose dead inputs are
+// constants: bias[r] plus the taps of border kernel r that land inside
+// the image at each output position. Built from the call's geometry.
+void border_bias(const ConvGeometry& g, const float* border, const float* bias, int64_t rows,
+                 float* plane) {
+  const int64_t k = g.kernel_h, oh = g.out_h(), ow = g.out_w();
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* kern = border + r * k * k;
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) {
+        float s = 0.0f;
+        for (int64_t kh = 0; kh < k; ++kh) {
+          const int64_t iy = oy * g.stride - g.pad + kh;
+          if (iy < 0 || iy >= g.in_h) continue;
+          for (int64_t kw = 0; kw < k; ++kw) {
+            const int64_t ix = ox * g.stride - g.pad + kw;
+            if (ix >= 0 && ix < g.in_w) s += kern[kh * k + kw];
+          }
+        }
+        plane[(r * oh + oy) * ow + ox] = bias[r] + s;
+      }
+    }
+  }
+}
+
+// y [N, from.channels(), ...]: channel c is compact channel from.slot[c]
+// of x, or the constant from.value[c] where that channel is dead.
+Tensor gather_channels(const Tensor& x, const Layout& from) {
+  Shape shape = x.shape();
+  const int64_t channels = from.channels(), live = x.size(1);
+  shape[1] = channels;
+  Tensor y(shape);
+  const int64_t plane = per_channel(x);
+  parallel_for(0, y.size(0) * channels, work_grain(plane), [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      const int64_t i = p / channels, c = p % channels;
+      float* dst = y.data() + p * plane;
+      if (from.dead(c)) {
+        std::fill(dst, dst + plane, from.constant(c));
+      } else {
+        const float* src = x.data() + (i * live + from.slot[static_cast<size_t>(c)]) * plane;
+        std::copy(src, src + plane, dst);
+      }
+    }
+  });
+  return y;
+}
+
+// y += gather_channels(x, from), without materialising the gather.
+void add_channels(Tensor& y, const Tensor& x, const Layout& from) {
+  const int64_t channels = from.channels(), live = x.size(1);
+  const int64_t plane = per_channel(y);
+  parallel_for(0, y.size(0) * channels, work_grain(plane), [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      const int64_t i = p / channels, c = p % channels;
+      float* dst = y.data() + p * plane;
+      if (from.dead(c)) {
+        const float v = from.constant(c);
+        for (int64_t k = 0; k < plane; ++k) dst[k] += v;
+      } else {
+        const float* src = x.data() + (i * live + from.slot[static_cast<size_t>(c)]) * plane;
+        for (int64_t k = 0; k < plane; ++k) dst[k] += src[k];
+      }
+    }
+  });
+}
+
+// The eager join adds shortcut to main elementwise and throws on a shape
+// mismatch. The compact branches may differ in channel count, so check
+// every other axis.
+void check_join(const std::string& who, const Tensor& main, const Tensor& shortcut) {
+  bool same = main.dim() == shortcut.dim();
+  for (int64_t d = 0; same && d < main.dim(); ++d) {
+    same = d == 1 || main.size(d) == shortcut.size(d);
+  }
+  if (!same) {
+    throw std::invalid_argument(who + ": shape mismatch " + shrinkbench::to_string(main.shape()) +
+                                " vs " + shrinkbench::to_string(shortcut.shape()));
+  }
+}
+
 // Lowers a Sequential to ops: closures over compiled data (packed
-// weights, row maps, folded constants) that call the nn eval kernels.
+// weights, folded constants) that call the nn eval kernels, while
+// propagating each activation's channel layout from input to output.
 class Compiler {
  public:
   explicit Compiler(ExecMode mode) : mode_(mode) {}
 
-  void emit_sequential(Sequential& seq, std::vector<Op>& ops) {
+  // Emits seq's ops for an input laid out as `in`; returns the output's
+  // layout.
+  Layout emit_sequential(Sequential& seq, Layout in, std::vector<Op>& ops) {
     const std::vector<Layer*> kids = seq.children();
     for (size_t i = 0; i < kids.size(); ++i) {
       Layer* layer = kids[i];
@@ -74,22 +209,19 @@ class Compiler {
         if (mode_ != ExecMode::Dense && i + 1 < kids.size()) {
           bn = dynamic_cast<BatchNorm2d*>(kids[i + 1]);
         }
-        ops.push_back(conv_op(*conv, bn));
+        in = conv_op(*conv, bn, in, ops);
         if (bn != nullptr) ++i;  // consumed by the fold
       } else if (auto* linear = dynamic_cast<Linear*>(layer)) {
-        ops.push_back(linear_op(*linear));
+        in = linear_op(*linear, in, ops);
       } else if (auto* bn = dynamic_cast<BatchNorm2d*>(layer)) {
         // Standalone eval-mode BN: Dense mode, and pre-activation nets
         // whose BN has no preceding conv to fold into.
-        ops.push_back([who = bn->name(), k = bn_constants(*bn)](const Tensor& x) {
-          check_nchw(who, x, static_cast<int64_t>(k.mean.size()));
-          return batchnorm_normalize(x, k.mean.data(), k.inv_std.data(), k.gamma.data(),
-                                     k.beta.data());
-        });
+        in = bn_op(*bn, std::move(in), ops);
       } else if (dynamic_cast<ReLU*>(layer) != nullptr) {
         ops.push_back([](const Tensor& x) { return relu(x); });
+        for (float& v : in.value) v = relu_of(v);  // live channels' entries are 0
       } else if (dynamic_cast<Flatten*>(layer) != nullptr) {
-        ops.push_back([](const Tensor& x) { return x.reshaped({x.size(0), -1}); });
+        in.flat = true;  // the consuming linear op reads the channels as features
       } else if (dynamic_cast<Dropout*>(layer) != nullptr) {
         // Inverted dropout: eval forward is the identity.
       } else if (auto* mp = dynamic_cast<MaxPool2d*>(layer)) {
@@ -97,37 +229,27 @@ class Compiler {
           return max_pool2d(who, x, k, s);
         });
       } else if (auto* ap = dynamic_cast<AvgPool2d*>(layer)) {
+        // Pooling a constant channel yields the same constant.
         ops.push_back([who = ap->name(), k = ap->kernel(), s = ap->stride()](const Tensor& x) {
           return avg_pool2d(who, x, k, s);
         });
       } else if (dynamic_cast<GlobalAvgPool*>(layer) != nullptr) {
         ops.push_back([who = layer->name()](const Tensor& x) { return global_avg_pool(who, x); });
       } else if (auto* res = dynamic_cast<ResidualBlock*>(layer)) {
-        std::vector<Op> main, shortcut;  // empty shortcut = identity
-        emit_sequential(*res->main(), main);
-        if (res->shortcut() != nullptr) emit_sequential(*res->shortcut(), shortcut);
-        ops.push_back([main = std::move(main), shortcut = std::move(shortcut),
-                       final_relu = res->final_relu()](const Tensor& x) {
-          Tensor m = run_ops(main, x);
-          if (shortcut.empty()) {
-            residual_join(m, x, final_relu);
-          } else {
-            residual_join(m, run_ops(shortcut, x), final_relu);
-          }
-          return m;
-        });
+        in = residual_op(*res, in, ops);
       } else if (auto* inner = dynamic_cast<Sequential*>(layer)) {
-        emit_sequential(*inner, ops);
+        in = emit_sequential(*inner, std::move(in), ops);
       } else {
         throw std::invalid_argument("serve::compile: unsupported layer '" + layer->name() + "'");
       }
     }
+    return in;
   }
 
  private:
-  Op conv_op(Conv2d& conv, BatchNorm2d* bn) {
-    const int64_t oc = conv.out_channels();
-    const int64_t col_rows = conv.in_channels() * conv.kernel() * conv.kernel();
+  Layout conv_op(Conv2d& conv, BatchNorm2d* bn, const Layout& in, std::vector<Op>& ops) {
+    const int64_t oc = conv.out_channels(), kk = conv.kernel() * conv.kernel();
+    const int64_t col_rows = conv.in_channels() * kk;
     Tensor w = conv.weight().data.clone().reshaped({oc, col_rows});
     if (mode_ != ExecMode::Dense) ops::mul_inplace(w, conv.weight().mask.reshaped({oc, col_rows}));
     std::vector<float> b;
@@ -147,68 +269,186 @@ class Compiler {
         b[sc] = (b[sc] - k.mean[sc]) * scale + k.beta[sc];
       }
     }
-    return [p = pack(w, std::move(b)), who = conv.name(), in_c = conv.in_channels(), oc,
-            k = conv.kernel(), s = conv.stride(), pad = conv.padding(),
-            csr = mode_ == ExecMode::Csr](const Tensor& x) {
+    // Without padding every tap lands inside the image, so a dead input's
+    // term is the same at every position and folds into the bias.
+    Lowered l = lower(w, std::move(b), in, kk, /*uniform=*/conv.padding() == 0);
+    ops.push_back([p = std::move(l.weights), border = std::move(l.border), who = conv.name(),
+                   in_c = static_cast<int64_t>(in.live().size()), k = conv.kernel(),
+                   s = conv.stride(), pad = conv.padding(),
+                   csr = mode_ == ExecMode::Csr](const Tensor& x) {
       const ConvGeometry g = conv_geometry(who, x, in_c, k, s, pad);
-      return csr ? conv2d_csr_eval(x, g, p.csr, oc, p.rows())
-                 : conv2d_eval(x, g, p.dense.data(), oc, p.rows());
-    };
+      if (csr) return conv2d_csr_eval(x, g, p.csr, p.b());
+      if (border.empty()) return conv2d_eval(x, g, p.dense.data(), p.rows(), {p.b()});
+      Workspace::Scope scope;
+      float* plane = Workspace::tls().floats(static_cast<size_t>(p.rows() * g.col_cols()));
+      border_bias(g, border.data(), p.b(), p.rows(), plane);
+      return conv2d_eval(x, g, p.dense.data(), p.rows(), {plane, /*per_position=*/true});
+    });
+    return std::move(l.out);
   }
 
-  Op linear_op(Linear& linear) {
+  Layout linear_op(Linear& linear, const Layout& in, std::vector<Op>& ops) {
     Tensor w = linear.weight().data.clone();
     if (mode_ != ExecMode::Dense) ops::mul_inplace(w, linear.weight().mask);
     std::vector<float> b;
     if (linear.bias() != nullptr) {
       b.assign(linear.bias()->data.flat().begin(), linear.bias()->data.flat().end());
     }
-    return [p = pack(w, std::move(b)), who = linear.name(), in = linear.in_features(),
-            out = linear.out_features(), csr = mode_ == ExecMode::Csr](const Tensor& x) {
-      check_features(who, x, in);
-      return csr ? linear_csr_eval(x, p.csr, out, p.rows())
-                 : linear_eval(x, p.dense.data(), p.dense.size(0), out, p.rows());
-    };
+    // Features per input channel: the flattened spatial size, else 1
+    // (compile() has validated the shapes).
+    const int64_t group = linear.in_features() / std::max<int64_t>(in.channels(), 1);
+    const int64_t live = static_cast<int64_t>(in.live().size());
+    // A flattened input with dead channels needs its per-channel extent
+    // checked: all-dead (or a wrong spatial size) could still match the
+    // feature count. With every channel live, flatten as eager does.
+    const bool compact = in.flat && live < in.channels();
+    Lowered l = lower(w, std::move(b), in, group, /*uniform=*/true);
+    ops.push_back([p = std::move(l.weights), who = linear.name(), in_f = live * group, group,
+                   flat = in.flat, compact, csr = mode_ == ExecMode::Csr](const Tensor& x) {
+      Tensor features;
+      if (flat) {
+        if (compact && per_channel(x) != group) {
+          throw std::invalid_argument(who + ": expected " + std::to_string(group) +
+                                      " features per channel, got " +
+                                      shrinkbench::to_string(x.shape()));
+        }
+        features = x.reshaped({x.size(0), -1});
+      }
+      const Tensor& f = flat ? features : x;
+      check_features(who, f, in_f);
+      return csr ? linear_csr_eval(f, p.csr, p.b())
+                 : linear_eval(f, p.dense.data(), p.rows(), p.b());
+    });
+    return std::move(l.out);
   }
 
-  // Stores the weight matrix w [rows, cols] according to mode: full
-  // dense, CSR, or live-row-packed dense with the dead-row constants.
-  PackedWeights pack(const Tensor& w, std::vector<float> bias) const {
-    PackedWeights p;
-    p.bias = std::move(bias);
-    const int64_t rows = w.size(0), cols = w.size(1);
-    if (mode_ == ExecMode::Dense) {
-      p.dense = w;
-      return p;
+  Layout bn_op(BatchNorm2d& bn, Layout in, std::vector<Op>& ops) {
+    const BnConstants all = bn_constants(bn);
+    BnConstants k;  // live channels only
+    for (int64_t c = 0; c < in.channels(); ++c) {
+      const size_t sc = static_cast<size_t>(c);
+      if (in.dead(c)) {  // batchnorm_normalize's arithmetic
+        in.value[sc] = all.gamma[sc] * ((in.value[sc] - all.mean[sc]) * all.inv_std[sc]) +
+                       all.beta[sc];
+        continue;
+      }
+      k.mean.push_back(all.mean[sc]);
+      k.inv_std.push_back(all.inv_std[sc]);
+      k.gamma.push_back(all.gamma[sc]);
+      k.beta.push_back(all.beta[sc]);
     }
-    if (mode_ == ExecMode::Csr) {
-      p.csr = csr_from_dense(w.data(), rows, cols);
-      return p;
+    ops.push_back([who = bn.name(), k = std::move(k)](const Tensor& x) {
+      check_nchw(who, x, static_cast<int64_t>(k.mean.size()));
+      return batchnorm_normalize(x, k.mean.data(), k.inv_std.data(), k.gamma.data(),
+                                 k.beta.data());
+    });
+    return in;
+  }
+
+  // The join's output keeps the union of both branches' live channels; a
+  // channel dead in both is the sum of their constants.
+  Layout residual_op(ResidualBlock& res, const Layout& in, std::vector<Op>& ops) {
+    std::vector<Op> main, shortcut;  // empty shortcut = identity
+    const Layout m = emit_sequential(*res.main(), in, main);
+    const Layout s =
+        res.shortcut() != nullptr ? emit_sequential(*res.shortcut(), in, shortcut) : in;
+    const bool final_relu = res.final_relu();
+    // Each branch's term in every live output channel: a compact channel
+    // of the branch, or the branch's constant.
+    Layout out, main_term, shortcut_term;
+    const auto add_term = [](Layout& term, const Layout& branch, int64_t c) {
+      term.slot.push_back(branch.slot[static_cast<size_t>(c)]);
+      term.value.push_back(branch.constant(c));
+    };
+    for (int64_t c = 0; c < m.channels(); ++c) {
+      const bool dead = m.dead(c) && s.dead(c);
+      const float v = dead ? m.constant(c) + s.constant(c) : 0.0f;
+      out.slot.push_back(dead ? -1 : static_cast<int32_t>(main_term.channels()));
+      out.value.push_back(final_relu ? relu_of(v) : v);
+      if (dead) continue;
+      add_term(main_term, m, c);
+      add_term(shortcut_term, s, c);
     }
-    // Shrunk: drop all-zero rows from the GEMM. A dead channel's output
-    // is exactly its bias constant (the folded weight row is zero), so
-    // the epilogue reconstructs the full-width activation and downstream
-    // ops — residual adds included — see full tensors.
-    p.row_of.resize(static_cast<size_t>(rows));
-    p.fill.assign(static_cast<size_t>(rows), 0.0f);
-    std::vector<int32_t> live;
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* row = w.data() + r * cols;
-      const size_t sr = static_cast<size_t>(r);
-      if (std::all_of(row, row + cols, [](float v) { return v == 0.0f; })) {
-        p.row_of[sr] = -1;
-        p.fill[sr] = p.bias.empty() ? 0.0f : p.bias[sr];
-      } else {
-        p.row_of[sr] = static_cast<int32_t>(live.size());
-        live.push_back(static_cast<int32_t>(r));
+    // When the main branch's live channels are the union (always so in
+    // Dense and Csr), its output already has the join's layout and the
+    // shortcut adds into it in place.
+    const bool main_is_union = main_term.slot == Layout::all_live(main_term.channels()).slot;
+    ops.push_back([who = res.name(), main = std::move(main), shortcut = std::move(shortcut),
+                   main_term = std::move(main_term), shortcut_term = std::move(shortcut_term),
+                   main_is_union, final_relu](const Tensor& x) {
+      Tensor a = run_ops(main, x), projected;
+      const Tensor& b = shortcut.empty() ? x : (projected = run_ops(shortcut, x));
+      check_join(who, a, b);
+      Tensor y = main_is_union ? std::move(a) : gather_channels(a, main_term);
+      add_channels(y, b, shortcut_term);
+      if (final_relu) relu_inplace(y);
+      return y;
+    });
+    return out;
+  }
+
+  // Lowers w [out, channels * group], the weights of a layer consuming
+  // layout `in`: keeps the live input channels' columns and folds each
+  // dead channel's constant times its weights into the bias (uniform) or
+  // into border kernels. In Shrunk mode an output row left with no live
+  // weight and no border term is a constant of the output layout.
+  Lowered lower(const Tensor& w, std::vector<float> b, const Layout& in, int64_t group,
+                bool uniform) const {
+    const int64_t out = w.size(0), cols = w.size(1);
+    const std::vector<int64_t> live_in = in.live();
+    const bool any_dead = static_cast<int64_t>(live_in.size()) < in.channels();
+    // fold[o * group + t] = Σ_dead c value[c] * w[o, c * group + t]
+    std::vector<float> fold;
+    if (any_dead) {
+      if (b.empty()) b.assign(static_cast<size_t>(out), 0.0f);
+      fold.assign(static_cast<size_t>(out * group), 0.0f);
+      for (int64_t o = 0; o < out; ++o) {
+        float* f = fold.data() + o * group;
+        for (int64_t c = 0; c < in.channels(); ++c) {
+          if (!in.dead(c)) continue;
+          const float* src = w.data() + o * cols + c * group;
+          for (int64_t t = 0; t < group; ++t) f[t] += in.constant(c) * src[t];
+        }
+        if (uniform) {
+          for (int64_t t = 0; t < group; ++t) b[static_cast<size_t>(o)] += f[t];
+          std::fill(f, f + group, 0.0f);
+        }
       }
     }
-    p.dense = Tensor({static_cast<int64_t>(live.size()), cols});
-    for (size_t i = 0; i < live.size(); ++i) {
-      const float* src = w.data() + static_cast<int64_t>(live[i]) * cols;
-      std::copy(src, src + cols, p.dense.data() + static_cast<int64_t>(i) * cols);
+
+    Lowered l;
+    PackedWeights& p = l.weights;
+    const auto nonzero = [](float v) { return v != 0.0f; };  // NaN counts
+    std::vector<float> packed, border;
+    int32_t rows = 0;
+    for (int64_t o = 0; o < out; ++o) {
+      const size_t row_start = packed.size();
+      for (const int64_t c : live_in) {
+        const float* src = w.data() + o * cols + c * group;
+        packed.insert(packed.end(), src, src + group);
+      }
+      const float* f = any_dead ? fold.data() + o * group : nullptr;
+      const bool live = mode_ != ExecMode::Shrunk ||
+                        std::any_of(packed.begin() + row_start, packed.end(), nonzero) ||
+                        (f != nullptr && std::any_of(f, f + group, nonzero));
+      const float bias = b.empty() ? 0.0f : b[static_cast<size_t>(o)];
+      l.out.slot.push_back(live ? rows++ : -1);
+      l.out.value.push_back(live ? 0.0f : bias);
+      if (!live) {
+        packed.resize(row_start);
+        continue;
+      }
+      if (!b.empty()) p.bias.push_back(bias);
+      if (f != nullptr) border.insert(border.end(), f, f + group);
     }
-    return p;
+    const int64_t live_cols = static_cast<int64_t>(live_in.size()) * group;
+    p.dense = Tensor({rows, live_cols}, std::move(packed));
+    if (std::any_of(border.begin(), border.end(), nonzero)) l.border = std::move(border);
+    if (mode_ == ExecMode::Csr) {
+      p.csr = csr_from_dense(p.dense.data(), rows, live_cols);
+      p.dense = Tensor();
+    }
+    return l;
   }
 
   ExecMode mode_;
@@ -250,7 +490,16 @@ Executor compile(Sequential& model, const Shape& sample_shape, ExecMode mode) {
   exec.flops_dense_ = model.flops(sample_shape);
   exec.flops_effective_ = model.effective_flops(sample_shape);
   Compiler compiler(mode);
-  compiler.emit_sequential(model, exec.ops_);
+  const Layout out =
+      compiler.emit_sequential(model, Layout::all_live(sample_shape.at(0)), exec.ops_);
+  // Expands a compact result to the model's output shape.
+  if (out.flat || static_cast<int64_t>(out.live().size()) < out.channels()) {
+    exec.ops_.push_back([out](const Tensor& x) {
+      Tensor y = gather_channels(x, out);
+      if (out.flat) y.reshape({y.size(0), -1});
+      return y;
+    });
+  }
   return exec;
 }
 

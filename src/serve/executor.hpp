@@ -9,22 +9,32 @@
 //   Csr     unstructured sparsity: effective weights (data ⊙ mask)
 //           compiled to CSR; batch norm is folded into the preceding conv
 //           so the sparse matmul is the only per-layer matrix work.
-//   Shrunk  channel sparsity: BN folded, then all-zero output-channel
-//           rows are physically dropped from the GEMM. Dead channels
-//           still appear in the output, filled with their folded bias
-//           constant — (0 - mean) * inv_std * gamma + beta is *not* zero,
-//           so naive channel deletion would be wrong anywhere a BN
-//           follows a pruned conv. Packing rows instead of rewriting the
-//           graph keeps residual shapes and downstream layers intact
-//           while the GEMM cost tracks effective FLOPs.
+//   Shrunk  channel sparsity: BN folded, and activations are compact —
+//           each holds only its live channels. The compiler propagates
+//           a channel layout from input to output: every logical channel
+//           is live (an index into the compact tensor) or a compile-time
+//           constant. A pruned conv's dead output is not zero but its
+//           folded bias, (0 - mean) * inv_std * gamma + beta, mapped
+//           through ReLU, pooling and standalone BN like any value. Each
+//           consumer drops dead inputs from its weight columns and folds
+//           their constants into its bias; under a padded conv that term
+//           differs along the borders, so it becomes a per-position bias
+//           plane built from the call's geometry. A residual join keeps
+//           the union of both branches' live channels. One final op
+//           expands the result to the model's output shape. So im2col,
+//           the GEMM's k dimension, BN, ReLU and pooling all run over
+//           live channels only.
 //
-// There is one eval lowering. An op is compiled data (packed weights, a
-// row map, folded constants) plus a call into the same nn kernel the
-// eager layer's forward(x, /*train=*/false) runs: conv2d_eval and
-// linear_eval for Dense and Shrunk, conv2d_csr_eval and linear_csr_eval
-// (nn/sparse) for Csr, and the BN, ReLU, pool and residual-join kernels
-// for every mode. The Dense executor therefore matches the eval-mode
-// model bit for bit by construction, and serving rejects exactly the
+// There is one eval lowering. An op is compiled data (packed weights,
+// folded constants) plus a call into the same nn kernel the eager layer's
+// forward(x, /*train=*/false) runs: conv2d_eval and linear_eval for Dense
+// and Shrunk, conv2d_csr_eval and linear_csr_eval (nn/sparse) for Csr,
+// and the BN, ReLU and pool kernels for every mode. The residual join is
+// the executor's own: it adds the shortcut's channels into the union
+// layout, which in Dense and Csr is an elementwise add, as in eager.
+// Dense and Csr activations are all live, so the Dense executor matches
+// the eval-mode model bit for bit by construction; Shrunk matches it up
+// to the reordered arithmetic of the folds. Serving rejects exactly the
 // inputs the model rejects.
 //
 // Executors hold copies of all weights: the source model can keep
@@ -82,7 +92,7 @@ class Executor {
 
 /// Compiles the model for the given per-sample input shape. Csr/Shrunk
 /// use effective weights (data ⊙ mask) and fold eval-mode batch norm
-/// into the preceding conv/linear; Dense replays the model verbatim.
+/// into the preceding conv; Dense replays the model verbatim.
 /// Throws std::invalid_argument on layer types the compiler doesn't know.
 Executor compile(Sequential& model, const Shape& sample_shape, ExecMode mode);
 

@@ -1,5 +1,7 @@
-// Serving engine tests: compiler parity against the eval-mode model,
-// input rejection shared with the eager layers, dynamic-batcher semantics
+// Serving engine tests: compiler parity against the eval-mode model
+// (including the shrunk executor's compact layouts across architectures,
+// keep fractions and input sizes), NaN propagation, input rejection
+// shared with the eager layers, dynamic-batcher semantics
 // (max-wait flush, full-batch flush, lossless drain), parallel CSR matmul
 // determinism, and steady-state zero arena growth in every exec mode.
 //
@@ -10,19 +12,23 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/allocation.hpp"
 #include "core/pruner.hpp"
 #include "core/scoring.hpp"
 #include "models/zoo.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "nn/layer.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
+#include "nn/residual.hpp"
 #include "nn/sparse.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
@@ -122,6 +128,75 @@ TEST(ServeExecutor, ShrunkMatchesChannelPrunedResnet20) {
   expect_parity(*m, kCifarSample, ExecMode::Shrunk, 2e-3f, 2e-3f);
 }
 
+// ---- channel-shrunk executor: compact layouts ----
+
+// Residual nets reorder more of the folded arithmetic than the VGG chain.
+float shrunk_tolerance(const std::string& arch) { return arch == "cifar-vgg" ? 1e-3f : 2e-3f; }
+
+TEST(ServeShrunk, ParityGrid) {
+  // Dead channels never materialise: consumers drop their columns and
+  // fold their constants (border-dependent under padding), residual joins
+  // take the union of both branches' live channels, and one final op
+  // expands the result. Keep 0.1 leaves most layers one live channel.
+  for (const char* arch : {"cifar-vgg", "resnet-20", "preresnet-20"}) {
+    for (const double keep : {0.5, 0.1}) {
+      SCOPED_TRACE(std::string(arch) + " keep " + std::to_string(keep));
+      ModelPtr m = pruned_zoo_model(arch, kCifarSample, Structure::Channel, keep);
+      const float tol = shrunk_tolerance(arch);
+      expect_parity(*m, kCifarSample, ExecMode::Shrunk, tol, tol);
+    }
+  }
+}
+
+TEST(ServeShrunk, BorderTermsFollowTheCallGeometry) {
+  // Compiled for 32x32, served 16x16: the padded convs' dead-input terms
+  // must be laid over the call's borders, not the compiled shape's.
+  for (const char* arch : {"resnet-20", "preresnet-20"}) {
+    ModelPtr m = pruned_zoo_model(arch, kCifarSample, Structure::Channel, 0.1);
+    const serve::Executor exec = serve::compile(*m, kCifarSample, ExecMode::Shrunk);
+    Rng rng(4);
+    Tensor x({7, 3, 16, 16});
+    rng.fill_normal(x, 0, 1);
+    const Tensor ref = m->forward(x, /*train=*/false);
+    const Tensor got = exec.forward(x);
+    ASSERT_EQ(got.shape(), ref.shape());
+    EXPECT_TRUE(ops::allclose(got, ref, 2e-3f, 2e-3f)) << arch;
+  }
+}
+
+TEST(ServeShrunk, LayerWithNoLiveOutputsRunsFromConstants) {
+  // A conv whose whole mask is zero: its outputs are BN-shift constants,
+  // and the next conv runs on zero live input channels — its output is
+  // the border-dependent term alone.
+  ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Channel, 0.5);
+  std::vector<Conv2d*> convs;
+  visit_layers(*m, [&](Layer& l) {
+    if (auto* c = dynamic_cast<Conv2d*>(&l)) convs.push_back(c);
+  });
+  ASSERT_GE(convs.size(), 3u);
+  convs[1]->weight().mask.zero();
+  apply_masks(*m);
+  expect_parity(*m, kCifarSample, ExecMode::Shrunk, 1e-3f, 1e-3f);
+}
+
+TEST(ServeExecutor, NaNWeightPropagatesInEveryMode) {
+  // A diverged weight must surface in every mode's output, as it does in
+  // the eager model — Csr used to drop NaN entries while building CSR.
+  Rng rng(2);
+  Sequential model("m");
+  model.emplace<Linear>("fc", 4, 2);
+  init_model(model, rng);
+  auto& fc = dynamic_cast<Linear&>(*model.children()[0]);
+  fc.weight().data.at(0) = std::nanf("");
+  const Tensor x = Tensor::ones({1, 4});
+  ASSERT_TRUE(std::isnan(model.forward(x, /*train=*/false).at(0)));
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    const Tensor y = serve::compile(model, {4}, mode).forward(x);
+    EXPECT_TRUE(std::isnan(y.at(0))) << serve::to_string(mode);
+    EXPECT_FALSE(std::isnan(y.at(1))) << serve::to_string(mode);
+  }
+}
+
 TEST(ServeExecutor, TheoreticalSpeedupTracksEffectiveFlops) {
   ModelPtr m = pruned_zoo_model("cifar-vgg", kCifarSample, Structure::Unstructured, 0.25);
   const serve::Executor dense = serve::compile(*m, kCifarSample, ExecMode::Dense);
@@ -160,6 +235,67 @@ TEST(ServeExecutor, PoolRejectsInputsEagerRejects) {
       EXPECT_THROW(exec.forward(Tensor({1, 16})), std::invalid_argument)
           << serve::to_string(mode) << (max ? " max" : " avg") << " pool served a rank-2 input";
     }
+  }
+}
+
+TEST(ServeExecutor, FlattenFirstAcceptsWhatEagerAccepts) {
+  // lenet-300-100 starts with Flatten, so eager takes [N, 784] as well as
+  // [N, 28, 28]; every executor must too, and reject what eager rejects.
+  const Shape sample{1, 28, 28};
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    const Structure structure =
+        mode == ExecMode::Shrunk ? Structure::Channel : Structure::Unstructured;
+    ModelPtr m = pruned_zoo_model("lenet-300-100", sample, structure, 0.25);
+    const serve::Executor exec = serve::compile(*m, sample, mode);
+    const float tol = mode == ExecMode::Dense ? 0.0f : 1e-3f;
+    Rng rng(5);
+    for (const Shape& in : {Shape{7, 784}, Shape{7, 28, 28}, Shape{7, 1, 28, 28}}) {
+      Tensor x(in);
+      rng.fill_normal(x, 0, 1);
+      const Tensor ref = m->forward(x, /*train=*/false);
+      const Tensor got = exec.forward(x);
+      ASSERT_EQ(got.shape(), ref.shape()) << serve::to_string(mode);
+      EXPECT_TRUE(ops::allclose(got, ref, tol, tol))
+          << serve::to_string(mode) << " diverged on " << to_string(in);
+    }
+    const Tensor bad({7, 783});
+    EXPECT_THROW(m->forward(bad, /*train=*/false), std::invalid_argument);
+    EXPECT_THROW(exec.forward(bad), std::invalid_argument) << serve::to_string(mode);
+  }
+}
+
+TEST(ServeExecutor, ResidualJoinRejectsBranchesThatDisagree) {
+  // A k2/s2 main conv and a 1x1/s2 projection agree on 4x4 and 6x6 inputs
+  // but not on 5x5 (2x2 vs 3x3). Eager's join throws there; so must every
+  // executor. Main output 0 is masked off, so in Shrunk it is a constant
+  // and the join gathers main into the union of live channels.
+  auto conv = std::make_unique<Conv2d>("b.conv", 1, 2, 2, 2, 0, /*bias=*/true);
+  Conv2d& main_conv = *conv;
+  auto main = std::make_unique<Sequential>("b.main");
+  main->add(std::move(conv));
+  auto shortcut = std::make_unique<Sequential>("b.shortcut");
+  shortcut->emplace<Conv2d>("b.proj", 1, 2, 1, 2, 0, /*bias=*/true);
+  Sequential model("m");
+  model.add(std::make_unique<ResidualBlock>("b", std::move(main), std::move(shortcut)));
+  Rng rng(6);
+  init_model(model, rng);
+  for (Parameter* p : parameters_of(model)) {
+    if (!p->prunable) rng.fill_normal(p->data, 0.2f, 0.6f);
+  }
+  for (int64_t i = 0; i < 4; ++i) main_conv.weight().mask.at(i) = 0.0f;  // output 0
+  apply_masks(model);
+
+  for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+    const serve::Executor exec = serve::compile(model, {1, 4, 4}, mode);
+    for (const int64_t size : {4, 6}) {
+      Tensor x({3, 1, size, size});
+      rng.fill_normal(x, 0, 1);
+      EXPECT_TRUE(ops::allclose(exec.forward(x), model.forward(x, /*train=*/false), 1e-5f, 1e-5f))
+          << serve::to_string(mode) << " at " << size << "x" << size;
+    }
+    const Tensor odd({3, 1, 5, 5});
+    EXPECT_THROW(model.forward(odd, /*train=*/false), std::invalid_argument);
+    EXPECT_THROW(exec.forward(odd), std::invalid_argument) << serve::to_string(mode);
   }
 }
 
@@ -226,22 +362,27 @@ TEST(ServeKernels, CsrMatmulParallelBitMatchesSerial) {
 
 TEST(ServeWorkspace, ExecutorForwardReachesSteadyState) {
   // Every mode's kernels take their scratch from the thread-local arena,
-  // so once warm-up has grown it, forwards must never grow it again.
+  // so once warm-up has grown it, forwards must never grow it again. At
+  // keep 0.1 the shrunk executor's activations are one channel wide and
+  // its padded convs build their border bias planes on every call.
   for (const char* arch : {"cifar-vgg", "resnet-20"}) {
-    ModelPtr m = pruned_zoo_model(arch, kCifarSample, Structure::Channel, 0.5);
-    for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
-      const serve::Executor exec = serve::compile(*m, kCifarSample, mode);
-      Rng rng(9);
-      Tensor x({4, 3, 32, 32});
-      rng.fill_normal(x, 0, 1);
-      for (int i = 0; i < 3; ++i) exec.forward(x);
-      Workspace& ws = Workspace::tls();
-      const int64_t grows = ws.grow_count();
-      const size_t cap = ws.capacity();
-      for (int i = 0; i < 3; ++i) exec.forward(x);
-      EXPECT_EQ(ws.grow_count(), grows)
-          << arch << " " << serve::to_string(mode) << " grew the arena after warm-up";
-      EXPECT_EQ(ws.capacity(), cap);
+    for (const double keep : {0.5, 0.1}) {
+      ModelPtr m = pruned_zoo_model(arch, kCifarSample, Structure::Channel, keep);
+      for (const ExecMode mode : {ExecMode::Dense, ExecMode::Csr, ExecMode::Shrunk}) {
+        const serve::Executor exec = serve::compile(*m, kCifarSample, mode);
+        Rng rng(9);
+        Tensor x({4, 3, 32, 32});
+        rng.fill_normal(x, 0, 1);
+        for (int i = 0; i < 3; ++i) exec.forward(x);
+        Workspace& ws = Workspace::tls();
+        const int64_t grows = ws.grow_count();
+        const size_t cap = ws.capacity();
+        for (int i = 0; i < 3; ++i) exec.forward(x);
+        EXPECT_EQ(ws.grow_count(), grows) << arch << " keep " << keep << " "
+                                          << serve::to_string(mode)
+                                          << " grew the arena after warm-up";
+        EXPECT_EQ(ws.capacity(), cap);
+      }
     }
   }
 }

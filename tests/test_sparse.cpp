@@ -4,6 +4,8 @@
 // mode, the repository's one CSR inference path.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "nn/init.hpp"
 #include "nn/sparse.hpp"
 #include "serve/executor.hpp"
@@ -37,6 +39,15 @@ TEST(Csr, EmptyAndFullMatrices) {
   const CsrMatrix full = csr_from_dense(ones.data(), 3, 4);
   EXPECT_EQ(full.nnz(), 12);
   EXPECT_DOUBLE_EQ(full.density(), 1.0);
+}
+
+TEST(Csr, KeepsNaNEntries) {
+  // |NaN| > 0 is false: a `> tol` filter would drop a diverged weight
+  // and hide it from every product.
+  const float row[2] = {std::nanf(""), 1.0f};
+  const CsrMatrix csr = csr_from_dense(row, 1, 2);
+  EXPECT_EQ(csr.nnz(), 2);
+  EXPECT_TRUE(std::isnan(csr.values[0]));
 }
 
 TEST(Csr, RejectsColumnCountBeyondInt32) {
