@@ -169,11 +169,15 @@ BENCHMARK(BM_ConvForwardMT)
     ->Args({64, 4})
     ->UseRealTime();
 
+// Args: channels (in = out), square plane size, batch. 16 ch 8×8 at
+// batch 32 is the long-standing case; the batch-64 ones are resnet-20's
+// three stages at the synthetic-CIFAR resolution.
 void BM_ConvBackward(benchmark::State& state) {
-  sb::Conv2d conv("c", 16, 16, 3, 1, 1, false);
+  const int64_t c = state.range(0), plane = state.range(1), batch = state.range(2);
+  sb::Conv2d conv("c", c, c, 3, 1, 1, false);
   sb::Rng rng(4);
   sb::kaiming_normal(conv.weight().data, rng);
-  sb::Tensor x({32, 16, 8, 8}), dy({32, 16, 8, 8});
+  sb::Tensor x({batch, c, plane, plane}), dy({batch, c, plane, plane});
   rng.fill_normal(x, 0, 1);
   rng.fill_normal(dy, 0, 1);
   for (auto _ : state) {
@@ -182,7 +186,11 @@ void BM_ConvBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(dx.data());
   }
 }
-BENCHMARK(BM_ConvBackward);
+BENCHMARK(BM_ConvBackward)
+    ->Args({16, 8, 32})
+    ->Args({8, 8, 64})
+    ->Args({16, 4, 64})
+    ->Args({32, 2, 64});
 
 void BM_BatchNormForward(benchmark::State& state) {
   sb::BatchNorm2d bn("bn", 32);

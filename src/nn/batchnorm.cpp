@@ -85,6 +85,11 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   if (cached_xhat_.empty()) throw std::logic_error(name() + ": backward before forward(train)");
+  if (!cached_xhat_.same_shape(grad_out)) {
+    throw std::invalid_argument(name() + ": grad shape " + to_string(grad_out.shape()) +
+                                " does not match output shape " +
+                                to_string(cached_xhat_.shape()));
+  }
   const int64_t n = grad_out.size(0), h = grad_out.size(2), w = grad_out.size(3);
   const int64_t spatial = h * w;
   const int64_t per_channel = n * spatial;

@@ -1,8 +1,6 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/profile.hpp"
@@ -13,17 +11,6 @@
 namespace shrinkbench {
 
 namespace {
-
-// SB_CONV_CACHE_COLS=1 keeps the forward column matrix alive for the
-// backward pass instead of recomputing im2col — a speed-vs-memory toggle
-// (the cache costs col_rows * n * col_cols floats per conv layer).
-bool cache_cols_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("SB_CONV_CACHE_COLS");
-    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }();
-  return enabled;
-}
 
 // Floor on output channels per fused-grid tile: below this the per-tile
 // GEMM degenerates to a few kernel rows and the restaged im2col columns
@@ -67,45 +54,9 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   SB_PROFILE_SCOPE("conv2d.fwd");
   if (obs::profiling_enabled()) obs::count("conv2d.fwd.calls");
   const ConvGeometry g = conv_geometry(name(), x, in_c_, kernel_, stride_, pad_);
-  const ConvBias bias{has_bias_ ? bias_.data.data() : nullptr};
   if (train) cached_input_ = x;
-  if (!(train && cache_cols_enabled())) {
-    // Only a training forward may touch the validity flag: eval-mode
-    // forward must stay write-free so concurrent evaluate() batches can
-    // share one model, and the (cached_input_, cached_cols_) pair from
-    // the last training forward stays mutually consistent for backward.
-    if (train) cached_cols_valid_ = false;
-    return conv2d_eval(x, g, weight_.data.data(), out_c_, bias);
-  }
-
-  // SB_CONV_CACHE_COLS=1 training forward: backward reuses the full
-  // batched column matrix, so the lowering stays monolithic — a fused
-  // tile would stage its columns into the thread-local arena and
-  // discard them. Member storage (grow-only) survives until backward.
-  const int64_t n = x.size(0);
-  const int64_t spatial = g.col_cols();
-  const int64_t ld = n * spatial;
-  const int64_t image_numel = in_c_ * g.in_h * g.in_w;
-  const int64_t col_rows = g.col_rows();
-  Workspace::Scope scope;
-  Workspace& ws = Workspace::tls();
-  cached_cols_.resize(static_cast<size_t>(col_rows * ld));
-  float* cols = cached_cols_.data();
-  cached_cols_valid_ = true;
-  parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
-    }
-  });
-  float* out_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
-  gemm(false, false, out_c_, ld, col_rows, 1.0f, weight_.data.data(), col_rows, cols, ld, 0.0f,
-       out_cm, ld);
-  Tensor y({n, out_c_, g.out_h(), g.out_w()});
-  parallel_for(0, n, work_grain(out_c_ * spatial), [&](int64_t n0, int64_t n1) {
-    conv_epilogue(out_cm + n0 * spatial, ld, {n0, n1}, {0, out_c_}, out_c_, spatial, bias,
-                  y.data());
-  });
-  return y;
+  return conv2d_eval(x, g, weight_.data.data(), out_c_,
+                     {has_bias_ ? bias_.data.data() : nullptr});
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
@@ -116,37 +67,41 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
   const ConvGeometry g = geometry(h, w);
   const int64_t oh = g.out_h(), ow = g.out_w();
+  if (grad_out.dim() != 4 || grad_out.size(0) != n || grad_out.size(1) != out_c_ ||
+      grad_out.size(2) != oh || grad_out.size(3) != ow) {
+    throw std::invalid_argument(name() + ": grad shape " + to_string(grad_out.shape()) +
+                                " does not match output shape " +
+                                to_string({n, out_c_, oh, ow}));
+  }
   const int64_t image_numel = in_c_ * h * w;
   const int64_t spatial = oh * ow;
-  const int64_t ld = n * g.col_cols();
+  const int64_t col_rows = g.col_rows();
+  const int64_t ld = n * spatial;
 
   Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
-  const float* cols;
-  if (cached_cols_valid_) {
-    // SB_CONV_CACHE_COLS=1: reuse the forward column matrix.
-    if (obs::profiling_enabled()) obs::count("conv2d.cols_cache.hits");
-    cols = cached_cols_.data();
-  } else {
-    // Recompute the batched column matrix (cheaper than caching it in
-    // memory-constrained runs; see SB_CONV_CACHE_COLS).
-    float* scratch = ws.floats(static_cast<size_t>(g.col_rows() * ld));
-    parallel_for(0, n, work_grain(g.col_rows() * g.col_cols()), [&](int64_t n0, int64_t n1) {
-      for (int64_t i = n0; i < n1; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, scratch + i * g.col_cols(), ld);
-      }
-    });
-    cols = scratch;
-  }
   float* dy_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
   gather_channel_major(grad_out.data(), n, out_c_, spatial, dy_cm);
 
-  // dW += dY [out_c, n*ohw] * cols^T [n*ohw, cK2]. Every dW element
-  // reduces over the full n*ohw axis — the k axis spans all samples —
-  // so this product cannot join the sample-tiled grid below without
-  // splitting a reduction; it stays the monolithic block-grid GEMM.
-  gemm(false, /*trans_b=*/true, out_c_, g.col_rows(), ld, 1.0f, dy_cm, ld, cols, ld, 1.0f,
-       weight_.grad.data(), g.col_rows());
+  {
+    // dW += dY [out_c, n*ohw] * patches [n*ohw, cK2]. The input lowers
+    // straight into patch rows, so the GEMM's B packer copies contiguous
+    // rows; the packed values equal those of im2col's transpose, so dW
+    // is bit-identical to the trans_b product on the column matrix.
+    // Every dW element reduces over the full n*ohw axis — the k axis
+    // spans all samples — so this product cannot join the sample-tiled
+    // grid below without splitting a reduction; it stays the monolithic
+    // block-grid GEMM.
+    Workspace::Scope patch_scope;  // released before the dX grid
+    float* patches = ws.floats(static_cast<size_t>(ld * col_rows));
+    parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
+      for (int64_t i = n0; i < n1; ++i) {
+        im2row(g, x.data() + i * image_numel, patches + i * spatial * col_rows);
+      }
+    });
+    gemm(false, false, out_c_, col_rows, ld, 1.0f, dy_cm, ld, patches, col_rows, 1.0f,
+         weight_.grad.data(), col_rows);
+  }
 
   // dX: dcols = Wᵀ·dY and its col2im scatter fused over a (sample ×
   // in-channel-tile) grid. Each tile computes only its own rows and
@@ -173,8 +128,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       // its row range [cr.lo*kk, cr.hi*kk) is the pointer offset
       // weight + cr.lo*kk at the same lda.
       gemm(/*trans_a=*/true, false, rows, tile_ld, out_c_, 1.0f,
-           weight_.data.data() + cr.lo * kk, g.col_rows(), dy_cm + s.lo * spatial, ld, 0.0f,
-           dcols, tile_ld);
+           weight_.data.data() + cr.lo * kk, col_rows, dy_cm + s.lo * spatial, ld, 0.0f, dcols,
+           tile_ld);
       for (int64_t i = s.lo; i < s.hi; ++i) {
         col2im_channels_ld(g, dcols + (i - s.lo) * spatial, tile_ld,
                            dx.data() + i * image_numel + cr.lo * plane, cr.hi - cr.lo);
@@ -264,41 +219,37 @@ Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, 
                    ConvBias bias) {
   const int64_t n = x.size(0);
   const int64_t spatial = g.col_cols();
-  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
   const int64_t col_rows = g.col_rows();
   Tensor y({n, out_c, g.out_h(), g.out_w()});
 
   // The channel axis splits only when samples alone cannot fill the pool
   // (the batch-1 serving case a per-sample split starves). Bit-identity:
   // tile outputs are disjoint y regions, the k reduction stays whole
-  // inside every tile, and the block kernel accumulates k in the same
-  // ascending order for any (m, n) subrange — so y matches the
-  // monolithic GEMM bit for bit at every thread count.
+  // inside every tile and block, and the block kernel accumulates k in
+  // the same ascending order for any (m, n) subrange — so y matches the
+  // monolithic GEMM bit for bit at every thread count and block size.
   const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
   parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
     Workspace& ws = Workspace::tls();
     int64_t t = t_lo;
     while (t < t_hi) {
       // Tile ids are channel-fastest, so consecutive tiles of one sample
-      // range arrive back to back: stage that range's columns once and
-      // reuse them for every channel tile this chunk owns in the row.
+      // range arrive back to back: stage each block of that range once
+      // and reuse it for every channel tile this chunk owns in the row.
       const int64_t i0 = grid.tile0(t);
-      const Grid2d::Range s = grid.range0(i0);
       const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
-      const int64_t tile_ld = (s.hi - s.lo) * spatial;
-      Workspace::Scope stage;  // LIFO: reclaimed before the next sample range
-      float* cols = ws.floats(static_cast<size_t>(col_rows * tile_ld));
-      for (int64_t i = s.lo; i < s.hi; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, cols + (i - s.lo) * spatial, tile_ld);
-      }
-      for (; t < row_end; ++t) {
-        const Grid2d::Range cr = grid.range1(grid.tile1(t));
-        Workspace::Scope out_scope;
-        float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * tile_ld));
-        gemm(false, false, cr.hi - cr.lo, tile_ld, col_rows, 1.0f, weight + cr.lo * col_rows,
-             col_rows, cols, tile_ld, 0.0f, out_cm, tile_ld);
-        conv_epilogue(out_cm, tile_ld, s, cr, out_c, spatial, bias, y.data());
-      }
+      for_each_stage_block(x, g, grid.range0(i0), [&](Grid2d::Range b, const float* cols,
+                                                      int64_t ld) {
+        for (int64_t u = t; u < row_end; ++u) {
+          const Grid2d::Range cr = grid.range1(grid.tile1(u));
+          Workspace::Scope out_scope;
+          float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * ld));
+          gemm(false, false, cr.hi - cr.lo, ld, col_rows, 1.0f, weight + cr.lo * col_rows,
+               col_rows, cols, ld, 0.0f, out_cm, ld);
+          conv_epilogue(out_cm, ld, b, cr, out_c, spatial, bias, y.data());
+        }
+      });
+      t = row_end;
     }
   });
   return y;

@@ -26,7 +26,11 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 
 Tensor Linear::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) throw std::logic_error(name() + ": backward before forward");
-  const int64_t n = grad_out.size(0);
+  const int64_t n = cached_input_.size(0);
+  if (grad_out.dim() != 2 || grad_out.size(0) != n || grad_out.size(1) != out_) {
+    throw std::invalid_argument(name() + ": grad shape " + to_string(grad_out.shape()) +
+                                " does not match output shape " + to_string({n, out_}));
+  }
   // dW += dY^T X ; accumulate into existing grads.
   gemm(/*trans_a=*/true, /*trans_b=*/false, out_, in_, n, 1.0f, grad_out.data(), out_,
        cached_input_.data(), in_, 1.0f, weight_.grad.data(), in_);

@@ -71,29 +71,20 @@ Tensor csr_to_dense(const CsrMatrix& csr) {
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
                        const float* bias) {
   const int64_t out_c = w.rows;
-  const int64_t n = x.size(0);
   const int64_t spatial = g.col_cols();
-  const int64_t ld = n * spatial;
-  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
-  const int64_t col_rows = g.col_rows();
-
+  Tensor y({x.size(0), out_c, g.out_h(), g.out_w()});
   // Scratch lives in the thread-local arena: after warm-up, steady-state
   // forwards perform zero heap allocations.
-  Workspace::Scope scope;
   Workspace& ws = Workspace::tls();
-  float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
-  parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      im2col_ld(g, x.data() + i * image_numel, cols + i * spatial, ld);
-    }
-  });
-  float* out_cm = ws.floats(static_cast<size_t>(out_c * ld));
-  csr_matmul(w, cols, ld, out_cm);
-
-  Tensor y({n, out_c, g.out_h(), g.out_w()});
-  parallel_for(0, n, work_grain(out_c * spatial), [&](int64_t n0, int64_t n1) {
-    conv_epilogue(out_cm + n0 * spatial, ld, {n0, n1}, {0, out_c}, out_c, spatial, {bias},
-                  y.data());
+  for_each_stage_block(x, g, {0, x.size(0)}, [&](Grid2d::Range b, const float* cols,
+                                                 int64_t ld) {
+    Workspace::Scope out_scope;
+    float* out_cm = ws.floats(static_cast<size_t>(out_c * ld));
+    csr_matmul(w, cols, ld, out_cm);
+    parallel_for(b.lo, b.hi, work_grain(out_c * spatial), [&](int64_t n0, int64_t n1) {
+      conv_epilogue(out_cm + (n0 - b.lo) * spatial, ld, {n0, n1}, {0, out_c}, out_c, spatial,
+                    {bias}, y.data());
+    });
   });
   return y;
 }

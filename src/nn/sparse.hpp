@@ -52,10 +52,11 @@ void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* d
 Tensor csr_to_dense(const CsrMatrix& csr);
 
 /// CSR eval convolution of x ([N, in_c, H, W], geometry g) with weight
-/// w [out_c, g.col_rows()]: one batched im2col and one csr_matmul (which
-/// already fans out over its rows, so batch 1 saturates the pool without
-/// the fused grid), then conv_epilogue with a per-channel bias (nullptr:
-/// none). Returns [N, out_c, oh, ow].
+/// w [out_c, g.col_rows()]: for each cache-sized sample block
+/// (for_each_stage_block), one csr_matmul (which already fans out over its
+/// rows, so batch 1 saturates the pool without the fused grid) and
+/// conv_epilogue with a per-channel bias (nullptr: none). Returns
+/// [N, out_c, oh, ow].
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
                        const float* bias);
 

@@ -1,9 +1,20 @@
-// im2col / col2im lowering for NCHW convolutions.
+// Convolution lowerings for NCHW images onto GEMM. Padding is implicit
+// zero padding. Two layouts of the same patch data exist, and each one
+// serves the products whose operand it makes contiguous:
 //
-// Conv2d forward lowers each image to a [C*kh*kw, out_h*out_w] column
-// matrix and multiplies by the [out_c, C*kh*kw] weight matrix; the
-// backward pass scatters gradients back with col2im. Padding is implicit
-// zero padding.
+// - Column matrix [C*kh*kw, out_h*out_w] (im2col / im2col_ld): one row
+//   per (channel, kernel position), one column per output position. It is
+//   the B operand of Y = W · cols, so the eval forward (conv2d_eval and
+//   conv2d_csr_eval, in cache-sized sample blocks) and nothing else uses
+//   it. col2im / col2im_ld / col2im_channels_ld are its adjoint: Conv2d's
+//   backward scatters dcols = Wᵀ·dY back into dX with col2im_channels_ld.
+//
+// - Patch rows [out_h*out_w, C*kh*kw] (im2row): the transpose, one row
+//   per output position. Conv2d's backward lowers its cached input into
+//   this layout for the weight gradient dW += dY · patches, whose B
+//   operand then packs contiguous rows instead of one strided load per
+//   float. The values match im2col's element for element, so the GEMM
+//   packs, and accumulates, exactly the same numbers.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +44,8 @@ void im2col(const ConvGeometry& g, const float* image, float* cols);
 void col2im(const ConvGeometry& g, const float* cols, float* image);
 
 /// Strided variants for batching: one image's columns are written into a
-/// wider matrix whose rows are `ld` floats apart (ld >= col_cols). Batching
-/// all images of a minibatch into one [col_rows, N*col_cols] matrix turns
-/// a convolution into a single large GEMM instead of N tiny ones — the key
-/// throughput lever on the single-core reproduction host.
+/// wider matrix whose rows are `ld` floats apart (ld >= col_cols), so a
+/// block of images becomes one [col_rows, n*col_cols] GEMM operand.
 void im2col_ld(const ConvGeometry& g, const float* image, float* cols, int64_t ld);
 void col2im_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* image);
 
@@ -44,8 +53,20 @@ void col2im_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* imag
 /// parallelism: scatters `channels` consecutive channels' column rows
 /// into their image planes. `cols` points at the tile's first row — the
 /// (first channel, kh=0, kw=0) row — and `image` at the first channel's
-/// plane, so the tile is self-contained and geometry-relative.
+/// plane, so the tile is self-contained and geometry-relative. Each
+/// kernel offset's in-bounds output span is computed once per call, so
+/// the inner loops are plain (strided) adds; every pixel still
+/// accumulates in (c, kh, kw, y, x) order.
 void col2im_channels_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* image,
                         int64_t channels);
+
+/// Serial patch-row lowering of one image: rows is [col_cols, col_rows]
+/// contiguous, row y*out_w + x holding the (c, kh, kw) patch under output
+/// position (y, x) — the transpose of im2col. Consecutive images' rows
+/// stack, so image i of a batch starts at rows + i * col_cols * col_rows.
+/// A padded geometry first copies the image into a zero-bordered plane
+/// stack in the calling thread's arena, so each patch segment is a plain
+/// kernel_w-float copy.
+void im2row(const ConvGeometry& g, const float* image, float* rows);
 
 }  // namespace shrinkbench

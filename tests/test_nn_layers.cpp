@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "gradcheck.hpp"
 #include "nn/activations.hpp"
@@ -29,6 +31,23 @@ Tensor random_input(Shape shape, uint64_t seed = 1) {
   Tensor x(std::move(shape));
   rng.fill_normal(x, 0.0f, 1.0f);
   return x;
+}
+
+// Backward must check the gradient against the cached forward's output
+// shape and name the layer and both shapes, instead of reading the
+// gradient with the forward's geometry.
+template <typename L>
+void expect_backward_rejects(L& layer, const Tensor& grad, const std::string& got,
+                             const std::string& want) {
+  try {
+    layer.backward(grad);
+    ADD_FAILURE() << layer.name() << ": backward accepted grad " << got;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(layer.name()), std::string::npos) << msg;
+    EXPECT_NE(msg.find(got), std::string::npos) << msg;
+    EXPECT_NE(msg.find(want), std::string::npos) << msg;
+  }
 }
 
 // ---- Linear ----
@@ -62,6 +81,12 @@ TEST(Linear, RejectsBadInput) {
   Linear fc("fc", 4, 3);
   EXPECT_THROW(fc.forward(Tensor({2, 5}), false), std::invalid_argument);
   EXPECT_THROW(fc.backward(Tensor({2, 3})), std::logic_error);
+}
+
+TEST(Linear, BackwardRejectsGradOfWrongShape) {
+  Linear fc("fc", 3, 2);
+  fc.forward(random_input({4, 3}, 31), true);
+  expect_backward_rejects(fc, random_input({1, 2}, 32), "[1, 2]", "[4, 2]");
 }
 
 TEST(Linear, FlopsAndClassifierFlag) {
@@ -136,6 +161,12 @@ TEST(Conv2d, FlopsValidatesSampleShape) {
   EXPECT_EQ(conv.flops({2, 8, 8}), 64 * 72);  // valid shapes still work
 }
 
+TEST(Conv2d, BackwardRejectsGradOfWrongShape) {
+  Conv2d conv("c", 2, 2, 3, 1, 1);
+  conv.forward(random_input({4, 2, 4, 4}, 33), true);
+  expect_backward_rejects(conv, random_input({1, 2, 4, 4}, 34), "[1, 2, 4, 4]", "[4, 2, 4, 4]");
+}
+
 TEST(Conv2d, RejectsWrongChannels) {
   Conv2d conv("c", 3, 4, 3, 1, 1);
   EXPECT_THROW(conv.forward(Tensor({1, 2, 8, 8}), false), std::invalid_argument);
@@ -180,6 +211,12 @@ TEST(BatchNorm, GradCheck) {
   testing::GradCheckOptions opts;
   opts.tolerance = 4e-2f;  // batch statistics amplify finite-difference noise
   gradcheck(bn, random_input({3, 2, 3, 3}, 9), opts);
+}
+
+TEST(BatchNorm, BackwardRejectsGradOfWrongShape) {
+  BatchNorm2d bn("bn", 2);
+  bn.forward(random_input({1, 2, 4, 4}, 35), true);
+  expect_backward_rejects(bn, random_input({4, 2, 4, 4}, 36), "[4, 2, 4, 4]", "[1, 2, 4, 4]");
 }
 
 TEST(BatchNorm, ParamsNotPrunable) {

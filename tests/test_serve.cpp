@@ -13,10 +13,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/allocation.hpp"
@@ -32,6 +34,8 @@
 #include "nn/sparse.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/threadpool.hpp"
@@ -384,6 +388,185 @@ TEST(ServeWorkspace, ExecutorForwardReachesSteadyState) {
         EXPECT_EQ(ws.capacity(), cap);
       }
     }
+  }
+}
+
+// ---- conv lowering parity: bit-exact against the column formulation ----
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(ConvLowering, PatchRowsAreTransposedColumns) {
+  // im2row must reproduce im2col's values element for element, so the
+  // weight-gradient GEMM packs exactly the numbers it packed before.
+  Rng rng(41);
+  for (const int64_t kernel : {1, 3, 5}) {
+    for (const int64_t stride : {1, 2, 3}) {
+      for (const int64_t pad : {0, 1, 2}) {
+        // Non-square planes, and a 2x3 plane smaller than a 5x5 kernel
+        // plus padding. out_h() truncates toward zero, so e.g. a 3x3
+        // kernel at stride 2 without padding still gets one output row
+        // there, whose patch overhangs the image.
+        for (const auto& [h, w] : {std::pair<int64_t, int64_t>{5, 7}, {7, 5}, {2, 3}}) {
+          const ConvGeometry g{2, h, w, kernel, kernel, stride, pad};
+          if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+          const int64_t n = 2, spatial = g.col_cols(), col_rows = g.col_rows();
+          const int64_t ld = n * spatial, image = g.in_c * h * w;
+          Tensor x({n, g.in_c, h, w});
+          rng.fill_normal(x, 0, 1);
+          Tensor cols({col_rows, ld}), rows({ld, col_rows});
+          for (int64_t i = 0; i < n; ++i) {
+            im2col_ld(g, x.data() + i * image, cols.data() + i * spatial, ld);
+            im2row(g, x.data() + i * image, rows.data() + i * spatial * col_rows);
+          }
+          int64_t mismatches = 0;
+          for (int64_t r = 0; r < ld; ++r) {
+            for (int64_t k = 0; k < col_rows; ++k) {
+              mismatches += rows(r, k) != cols(k, r);
+            }
+          }
+          EXPECT_EQ(mismatches, 0) << "kernel " << kernel << " stride " << stride << " pad "
+                                   << pad << " plane " << h << "x" << w;
+        }
+      }
+    }
+  }
+}
+
+struct ConvGrads {
+  Tensor dw, db, dx;
+};
+
+// Conv backward in the column formulation: dW from the column matrix via
+// the trans_b GEMM, dX from the full dcols product scattered with a
+// col2im that bounds-tests every element. Same reductions in the same
+// order as Conv2d::backward, so the layer must match it bit for bit.
+ConvGrads column_backward(const Tensor& x, const Tensor& dy, const Tensor& weight,
+                          const ConvGeometry& g, int64_t out_c) {
+  const int64_t n = x.size(0), spatial = g.col_cols(), col_rows = g.col_rows();
+  const int64_t ld = n * spatial, image = g.in_c * g.in_h * g.in_w;
+  const int64_t ow = g.out_w();
+  std::vector<float> cols(static_cast<size_t>(col_rows * ld));
+  std::vector<float> dy_cm(static_cast<size_t>(out_c * ld));
+  std::vector<float> dcols(static_cast<size_t>(col_rows * ld));
+  for (int64_t i = 0; i < n; ++i) {
+    im2col_ld(g, x.data() + i * image, cols.data() + i * spatial, ld);
+    for (int64_t c = 0; c < out_c; ++c) {
+      const float* src = dy.data() + (i * out_c + c) * spatial;
+      std::copy(src, src + spatial, dy_cm.data() + c * ld + i * spatial);
+    }
+  }
+  ConvGrads r{Tensor(weight.shape()), Tensor({out_c}), Tensor(x.shape())};
+  gemm(false, /*trans_b=*/true, out_c, col_rows, ld, 1.0f, dy_cm.data(), ld, cols.data(), ld,
+       1.0f, r.dw.data(), col_rows);
+  gemm(/*trans_a=*/true, false, col_rows, ld, out_c, 1.0f, weight.data(), col_rows, dy_cm.data(),
+       ld, 0.0f, dcols.data(), ld);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t row = 0; row < col_rows; ++row) {
+      const int64_t c = row / (g.kernel_h * g.kernel_w);
+      const int64_t kh = (row / g.kernel_w) % g.kernel_h, kw = row % g.kernel_w;
+      float* chan = r.dx.data() + i * image + c * g.in_h * g.in_w;
+      for (int64_t sp = 0; sp < spatial; ++sp) {
+        const int64_t in_y = (sp / ow) * g.stride + kh - g.pad;
+        const int64_t in_x = (sp % ow) * g.stride + kw - g.pad;
+        if (in_y >= 0 && in_y < g.in_h && in_x >= 0 && in_x < g.in_w) {
+          chan[in_y * g.in_w + in_x] += dcols[static_cast<size_t>(row * ld + i * spatial + sp)];
+        }
+      }
+    }
+  }
+  for (int64_t c = 0; c < out_c; ++c) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float* src = dy.data() + (i * out_c + c) * spatial;
+      double s = 0.0;
+      for (int64_t sp = 0; sp < spatial; ++sp) s += src[sp];
+      r.db.at(c) += static_cast<float>(s);
+    }
+  }
+  return r;
+}
+
+TEST(ConvLowering, BackwardBitMatchesColumnFormulation) {
+  const int64_t in_c = 3, out_c = 4, kernel = 3, pad = 1;
+  for (const int64_t n : {1, 7, 64}) {
+    for (const int64_t plane : {2, 4, 8, 32}) {
+      for (const int64_t stride : {1, 2}) {
+        for (const bool bias : {false, true}) {
+          Conv2d conv("c", in_c, out_c, kernel, stride, pad, bias);
+          Rng rng(static_cast<uint64_t>(n * 1000 + plane * 10 + stride));
+          kaiming_normal(conv.weight().data, rng);
+          Tensor x({n, in_c, plane, plane});
+          rng.fill_normal(x, 0, 1);
+          const Tensor y = conv.forward(x, /*train=*/true);
+          Tensor dy(y.shape());
+          rng.fill_normal(dy, 0, 1);
+          const Tensor dx = conv.backward(dy);
+          const ConvGeometry g{in_c, plane, plane, kernel, kernel, stride, pad};
+          const ConvGrads ref = column_backward(x, dy, conv.weight().data, g, out_c);
+          const std::string at = "batch " + std::to_string(n) + " plane " +
+                                 std::to_string(plane) + " stride " + std::to_string(stride);
+          EXPECT_TRUE(same_bits(conv.weight().grad, ref.dw)) << "dW at " << at;
+          EXPECT_TRUE(same_bits(dx, ref.dx)) << "dX at " << at;
+          if (bias) {
+            EXPECT_TRUE(same_bits(conv.bias()->grad, ref.db)) << "bias at " << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Runs `forward` on the whole batch and on each sample alone, and demands
+// the concatenated batch-1 outputs equal the batch output bit for bit.
+template <typename Forward>
+void expect_batch_matches_samples(const Tensor& x, Forward&& forward, const std::string& what) {
+  const Tensor batch = forward(x);
+  const int64_t n = x.size(0);
+  const int64_t in_numel = x.numel() / n, out_numel = batch.numel() / n;
+  int64_t mismatched = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    Shape one = x.shape();
+    one[0] = 1;
+    Tensor xi(one);
+    std::copy(x.data() + i * in_numel, x.data() + (i + 1) * in_numel, xi.data());
+    const Tensor yi = forward(xi);
+    mismatched += std::memcmp(yi.data(), batch.data() + i * out_numel,
+                              static_cast<size_t>(out_numel) * sizeof(float)) != 0;
+  }
+  EXPECT_EQ(mismatched, 0) << what << ": samples whose batch output differs from batch-1";
+}
+
+TEST(ConvLowering, BlockedForwardBitMatchesPerSampleForwards) {
+  // At 32x32 a sample's column matrix is 36, 108 and 288 KiB for 1, 3 and
+  // 8 input channels, so the batch stages in blocks of 7, 2 and 1 samples
+  // (64 = 9*7 + 1 leaves a ragged last block) — the output may not depend
+  // on where the blocks fall.
+  for (const int64_t in_c : {1, 3, 8}) {
+    Sequential model("m");
+    model.emplace<Conv2d>("c", in_c, 6, 3, 1, 1, true);
+    auto& conv = static_cast<Conv2d&>(model[0]);
+    Rng rng(static_cast<uint64_t>(50 + in_c));
+    kaiming_normal(conv.weight().data, rng);
+    rng.fill_normal(conv.bias()->data, 0, 0.1f);
+    rng.fill_bernoulli(conv.weight().mask, 0.3);
+    Tensor x({64, in_c, 32, 32});
+    rng.fill_normal(x, 0, 1);
+
+    const serve::Executor csr = serve::compile(model, {in_c, 32, 32}, ExecMode::Csr);
+    expect_batch_matches_samples(
+        x, [&](const Tensor& in) { return csr.forward(in); },
+        "csr executor, in_c " + std::to_string(in_c));
+
+    conv.weight().apply_mask();
+    expect_batch_matches_samples(
+        x,
+        [&](const Tensor& in) {
+          const ConvGeometry g = conv_geometry("c", in, in_c, 3, 1, 1);
+          return conv2d_eval(in, g, conv.weight().data.data(), 6, {conv.bias()->data.data()});
+        },
+        "conv2d_eval, in_c " + std::to_string(in_c));
   }
 }
 
