@@ -26,8 +26,6 @@
 //   ./micro_primitives --benchmark_format=json > /tmp/raw.json
 //   ./check_regression emit /tmp/raw.json /tmp/current.json
 //   ./check_regression check BENCH_perf.json /tmp/current.json
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,195 +37,19 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal strict JSON parser (this tool reads benchmark output; the main
-// library only ever writes JSON).
-// ---------------------------------------------------------------------
+namespace obs = shrinkbench::obs;
 
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object } kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool has(const std::string& key) const { return object.count(key) > 0; }
-  const JsonValue& at(const std::string& key) const { return object.at(key); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) {
-    throw std::runtime_error("json parse error at offset " + std::to_string(pos_) + ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const size_t n = std::strlen(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string_value();
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return make_bool(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return make_bool(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return JsonValue{};
-      default: return number();
-    }
-  }
-
-  static JsonValue make_bool(bool b) {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Bool;
-    v.boolean = b;
-    return v;
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue key = string_value();
-      skip_ws();
-      expect(':');
-      v.object[key.string] = value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    expect('"');
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return v;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("bad escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': v.string += '"'; break;
-          case '\\': v.string += '\\'; break;
-          case '/': v.string += '/'; break;
-          case 'n': v.string += '\n'; break;
-          case 'r': v.string += '\r'; break;
-          case 't': v.string += '\t'; break;
-          case 'b': v.string += '\b'; break;
-          case 'f': v.string += '\f'; break;
-          case 'u':
-            if (pos_ + 4 > s_.size()) fail("bad \\u escape");
-            v.string += '?';
-            pos_ += 4;
-            break;
-          default: fail("unknown escape");
-        }
-      } else {
-        v.string += c;
-      }
-    }
-  }
-
-  JsonValue number() {
-    const size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected number");
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.number = std::stod(s_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
-JsonValue parse_file(const std::string& path) {
+obs::JsonValue parse_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open " + path);
   std::stringstream buf;
   buf << is.rdbuf();
-  return JsonParser(buf.str()).parse();
+  return obs::json_parse(buf.str());
 }
-
-// ---------------------------------------------------------------------
 
 struct Entry {
   std::string name;
@@ -244,21 +66,14 @@ double to_ns(double t, const std::string& unit) {
   throw std::runtime_error("unknown time_unit '" + unit + "'");
 }
 
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 int emit(const std::string& in_path, const std::string& out_path) {
-  const JsonValue root = parse_file(in_path);
+  const obs::JsonValue root = parse_file(in_path);
   std::string simd = "unknown";
   if (root.has("context") && root.at("context").has("simd")) {
     simd = root.at("context").at("simd").string;
   }
   std::vector<Entry> entries;
-  for (const JsonValue& b : root.at("benchmarks").array) {
+  for (const obs::JsonValue& b : root.at("benchmarks").array) {
     // Skip aggregate rows (mean/median/stddev of repetition runs).
     if (b.has("run_type") && b.at("run_type").string != "iteration") continue;
     Entry e;
@@ -280,8 +95,8 @@ int emit(const std::string& in_path, const std::string& out_path) {
     if (e.skipped) {
       os << "    {\"name\": \"" << e.name << "\", \"skipped\": true}";
     } else {
-      os << "    {\"name\": \"" << e.name << "\", \"ns\": " << json_num(e.ns)
-         << ", \"items_per_sec\": " << json_num(e.items_per_sec) << "}";
+      os << "    {\"name\": \"" << e.name << "\", \"ns\": " << obs::json_num(e.ns)
+         << ", \"items_per_sec\": " << obs::json_num(e.items_per_sec) << "}";
     }
     os << (i + 1 < entries.size() ? ",\n" : "\n");
   }
@@ -292,10 +107,10 @@ int emit(const std::string& in_path, const std::string& out_path) {
 }
 
 std::map<std::string, Entry> load_perf(const std::string& path) {
-  const JsonValue root = parse_file(path);
+  const obs::JsonValue root = parse_file(path);
   if (!root.has("benchmarks")) throw std::runtime_error(path + ": no 'benchmarks' array");
   std::map<std::string, Entry> out;
-  for (const JsonValue& b : root.at("benchmarks").array) {
+  for (const obs::JsonValue& b : root.at("benchmarks").array) {
     Entry e;
     e.name = b.at("name").string;
     if (b.has("skipped") && b.at("skipped").boolean) e.skipped = true;

@@ -9,7 +9,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <optional>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -383,25 +383,13 @@ void install_sigint_handler() {
 #endif
 }
 
-int sweep_retries(const SweepOptions& options) {
-  if (options.retries >= 0) return options.retries;
-  if (const char* env = std::getenv("SB_RETRIES")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 0) return static_cast<int>(parsed);
-  }
-  return 1;
-}
-
-int sweep_workers(const SweepOptions& options) {
-  long w = options.parallel;
-  if (w < 0) {
-    w = 1;
-    if (const char* env = std::getenv("SB_SWEEP_PARALLEL")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) w = parsed;
-    }
-  }
-  return static_cast<int>(std::clamp<long>(w, 1, 64));
+/// An explicit option (>= 0) wins; otherwise the environment variable
+/// when it parses to at least `min`; otherwise `fallback`.
+long option_or_env(long option, const char* name, long min, long fallback) {
+  if (option >= 0) return option;
+  const char* env = std::getenv(name);
+  const long parsed = env ? std::strtol(env, nullptr, 10) : min - 1;
+  return parsed >= min ? parsed : fallback;
 }
 
 /// ETA for the log line: sub-zero means "no cache-miss timing yet" —
@@ -457,8 +445,7 @@ class IncrementalCsv {
     std::error_code ec;
     const std::filesystem::path p(path);
     if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path(), ec);
-    const bool resume = append && std::filesystem::exists(p, ec) &&
-                        std::filesystem::file_size(p, ec) > 0 && !ec;
+    const bool resume = append && drop_torn_tail(p);
     os_.open(path, resume ? std::ios::app : std::ios::trunc);
     if (!os_) {
       SB_LOG_WARN("sweep", "cannot open incremental CSV %s — rows will not be streamed",
@@ -479,63 +466,73 @@ class IncrementalCsv {
   }
 
  private:
+  /// A kill mid-append can leave a torn last line, and appending after
+  /// it would glue the next row onto the fragment. Cuts the file back to
+  /// just after its last newline; true when whole lines remain to resume.
+  static bool drop_torn_tail(const std::filesystem::path& p) {
+    std::ifstream is(p, std::ios::binary);
+    if (!is) return false;
+    const std::string text{std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+    const size_t keep = text.rfind('\n') + 1;  // npos + 1 == 0: no whole line
+    if (keep < text.size()) {
+      std::error_code ec;
+      std::filesystem::resize_file(p, keep, ec);
+      if (ec) return false;  // still torn: start over rather than glue rows
+      obs::count("sweep.csv_torn_tail");
+      SB_LOG_WARN("sweep", "dropped a torn %zu-byte last line from incremental CSV %s",
+                  text.size() - keep, p.string().c_str());
+    }
+    return keep > 0;
+  }
+
   std::ofstream os_;
   bool failed_ = false;
 };
 
-/// One fleet worker's place in the grid: indices with i % count == id
-/// are its own shard, everything else is steal-able surplus.
+/// This process's place in the grid: indices with i % count == id are
+/// its own shard, everything else is surplus it may steal. A plain
+/// sequential sweep is shard 0 of 1.
 struct ShardSpec {
   int id = 0;
   int count = 1;
 };
 
-ShardSpec resolve_shard(const SweepOptions& options) {
-  long id = options.shard_id;
-  long count = options.shard_count;
-  if (count < 0) {
-    count = 1;
-    if (const char* env = std::getenv("SB_FLEET_SHARDS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 1) count = parsed;
-    }
-  }
-  if (id < 0) {
-    id = 0;
-    if (const char* env = std::getenv("SB_FLEET_SHARD")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed >= 0) id = parsed;
-    }
-  }
-  if (count < 1) count = 1;
-  if (id >= count) {
-    SB_LOG_WARN("fleet", "shard id %ld out of range for %ld shards — clamping", id, count);
-    id = count - 1;
-  }
-  return {static_cast<int>(id), static_cast<int>(count)};
-}
-
-/// One process of a multi-process fleet working a shared grid + result
-/// cache. Protocol per grid point: probe the cache; on a miss, claim
-/// <entry>.claim via a non-blocking flock; holders compute (the runner
-/// re-probes the cache after the claim, so a raced claim costs one
-/// probe, never a duplicate experiment); conflicts defer the index.
-/// After the first pass the worker converges: deferred rows either land
-/// in the cache (computed by a peer) or their claim frees (peer died —
-/// the kernel releases flocks of killed processes) and this worker
-/// steals the compute. On a clean convergence every worker holds the
-/// FULL grid in grid order, so any worker's final CSV is byte-identical
-/// to a sequential sweep over the same cache.
-void run_sweep_fleet(ExperimentRunner& runner, const std::vector<ExperimentConfig>& grid,
-                     const ShardSpec& shard, IncrementalCsv& csv, SweepSummary& sum, int retries,
-                     std::vector<ExperimentResult>& results) {
-  SB_LOG_INFO("fleet", "worker shard %d/%d over %zu grid points (cache %s)", shard.id,
-              shard.count, grid.size(), runner.cache_dir().c_str());
-  const auto sweep_start = std::chrono::steady_clock::now();
+/// The one sweep scheduler. Every grid point goes through one protocol:
+/// probe the shared result cache; on a miss, claim <entry>.claim via a
+/// non-blocking flock and compute under it (the runner re-probes the
+/// cache after the claim, so a raced claim costs one probe, never a
+/// duplicate experiment); a claim a peer holds defers the point.
+/// `threads` workers share one cursor over this process's claim order
+/// (own shard first, then everyone else's work), each running its
+/// experiments with the op-level pool serialized when threads > 1. A
+/// single-threaded convergence pass then waits out the deferred points:
+/// each either lands in the cache (a peer computed it) or its claim
+/// frees (the peer died — the kernel releases a killed process's flocks)
+/// and this process steals the compute.
+///
+/// Rows stream to `csv` as the grid-ordered contiguous prefix of the
+/// finished rows. The return value is every finished row in grid order;
+/// after a clean convergence that is the FULL grid, so any process's
+/// final CSV is byte-identical to a sequential sweep over the same cache.
+std::vector<ExperimentResult> claim_grid(ExperimentRunner& runner,
+                                         const std::vector<ExperimentConfig>& grid,
+                                         ShardSpec shard, int threads, int retries,
+                                         IncrementalCsv& csv, SweepSummary& sum) {
+  using clock = std::chrono::steady_clock;
+  const auto sweep_start = clock::now();
+  // Everything below mu is shared bookkeeping; experiments run outside it.
+  std::mutex mu;
   std::vector<ExperimentResult> slots(grid.size());
   std::vector<char> done(grid.size(), 0);
+  size_t streamed = 0;
+  // ETA bookkeeping: only cache-miss (actually computed) experiments
+  // count, otherwise a mostly-cached sweep predicts an absurdly
+  // optimistic finish for the remaining cold runs.
   double miss_seconds = 0.0;
   size_t misses = 0;
+  std::vector<size_t> deferred;
+  bool stop = false;
+  std::exception_ptr error;
 
   // Own shard first, then everyone else's work (ascending in both
   // halves): the first half is work no live peer should be holding, the
@@ -548,79 +545,92 @@ void run_sweep_fleet(ExperimentRunner& runner, const std::vector<ExperimentConfi
     if (i % count != static_cast<size_t>(shard.id)) order.push_back(i);
   }
 
-  const auto entry_path = [&](size_t i) { return result_cache_path(runner.cache_dir(), grid[i]); };
-
-  const auto finish_row = [&](size_t i, ExperimentResult&& r) {
+  const auto finish_row = [&](size_t i, ExperimentResult&& r, double compute_s, bool steal_pass) {
+    std::lock_guard<std::mutex> lock(mu);
     if (r.failed) {
       ++sum.failures;
     } else if (r.from_cache) {
       ++sum.cache_hits;
+    } else {
+      miss_seconds += compute_s;
+      ++misses;
     }
+    if (steal_pass && !r.from_cache) {
+      ++sum.stolen;
+      obs::count("fleet.steals");
+    }
+    ++sum.completed;
     slots[i] = std::move(r);
     done[i] = 1;
-    ++sum.completed;
+    while (streamed < grid.size() && done[streamed]) {
+      csv.write_line(experiment_csv_row(slots[streamed++]));
+    }
+
     const ExperimentResult& row = slots[i];
-    // Completion-ordered stream: this worker's crash-visible trail. The
-    // grid-ordered CSV comes from the results vector on return.
-    csv.write_line(experiment_csv_row(row));
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
+    const double elapsed = std::chrono::duration<double>(clock::now() - sweep_start).count();
+    // ETA only exists once a cache-miss timing does; -1 = unknown
+    // (formatted as "unknown", published as unknown to the heartbeat).
     const double eta = misses > 0 ? miss_seconds / static_cast<double>(misses) *
                                         static_cast<double>(sum.total - sum.completed) /
-                                        static_cast<double>(shard.count)
+                                        static_cast<double>(shard.count * threads)
                                   : -1.0;
-    SB_LOG_INFO("fleet", "%zu/%zu %s x%.0f seed=%llu -> %s (%s) [elapsed %.1fs, eta %s]",
-                sum.completed, sum.total, row.config.strategy.c_str(),
+    char outcome[48];
+    if (row.failed) {
+      std::snprintf(outcome, sizeof(outcome), "FAILED");
+    } else {
+      std::snprintf(outcome, sizeof(outcome), "top1 %.4f", row.post_top1);
+    }
+    SB_LOG_INFO("sweep", "%zu/%zu %s %s x%.0f seed=%llu -> %s (c=%.2f, %s) "
+                "[elapsed %.1fs, eta %s]",
+                sum.completed, sum.total, row.config.arch.c_str(), row.config.strategy.c_str(),
                 row.config.target_compression,
-                static_cast<unsigned long long>(row.config.run_seed),
-                row.failed ? "FAILED" : "ok", row.from_cache ? "cache" : "computed", elapsed,
-                format_sweep_eta(eta).c_str());
+                static_cast<unsigned long long>(row.config.run_seed), outcome, row.compression,
+                row.from_cache ? "cache" : "computed", elapsed, format_sweep_eta(eta).c_str());
     obs::status_set_progress(sum.completed, sum.total, eta);
     obs::status_set_failures(static_cast<int64_t>(sum.failures),
                              static_cast<int64_t>(sum.cache_hits));
   };
 
   // Attempts one grid point; true when its row is now done (loaded from
-  // the shared cache or computed under our claim), false when a live
-  // peer holds the claim.
+  // the shared cache or computed), false when a live peer holds the claim.
   const auto attempt = [&](size_t i, bool steal_pass) -> bool {
-    if (ExperimentResult cached; read_cached_result(entry_path(i), grid[i], cached)) {
+    const std::filesystem::path entry = result_cache_path(runner.cache_dir(), grid[i]);
+    if (ExperimentResult cached; read_cached_result(entry, grid[i], cached)) {
       obs::count("cache.result.hit");
       cached.from_cache = true;
-      finish_row(i, std::move(cached));
+      finish_row(i, std::move(cached), 0.0, steal_pass);
       return true;
     }
-    std::filesystem::path claim_path = entry_path(i);
+    std::filesystem::path claim_path = entry;
     claim_path += ".claim";
     obs::FileLock claim;
-    if (!claim.try_acquire(claim_path)) {
+    if (claim.try_acquire(claim_path)) {
+      obs::count("fleet.claims");
+    } else if (claim.open_failed()) {
+      // No retry can open it: compute unclaimed, as a lone process would.
+      SB_LOG_WARN("sweep", "computing %s x%.0f seed=%llu without a claim",
+                  grid[i].strategy.c_str(), grid[i].target_compression,
+                  static_cast<unsigned long long>(grid[i].run_seed));
+    } else {
       obs::count("fleet.claim_conflicts");
       return false;
     }
-    obs::count("fleet.claims");
-    const auto exp_start = std::chrono::steady_clock::now();
+    const auto exp_start = clock::now();
     ExperimentResult r = run_one_config(runner, grid[i], retries);
-    if (!r.from_cache) {
-      if (!r.failed) {
-        miss_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - exp_start).count();
-        ++misses;
-      }
-      if (steal_pass) {
-        ++sum.stolen;
-        obs::count("fleet.steals");
-      }
-    }
+    const double compute_s = std::chrono::duration<double>(clock::now() - exp_start).count();
     claim.release(/*unlink_file=*/true);
-    finish_row(i, std::move(r));
+    finish_row(i, std::move(r), compute_s, steal_pass);
     return true;
   };
 
+  // Checked once per attempt: a pending interrupt (SIGINT or the injected
+  // sweep.interrupt) drains the sweep, an injected sweep.abort throws.
   const auto interrupted = [&]() -> bool {
-    if (sum.interrupted) return true;
+    std::lock_guard<std::mutex> lock(mu);
+    if (stop) return true;
     if (obs::fault_point("sweep.interrupt")) request_sweep_interrupt();
     if (sweep_interrupt_requested()) {
-      sum.interrupted = true;
+      sum.interrupted = stop = true;
       return true;
     }
     if (obs::fault_point("sweep.abort")) {
@@ -629,25 +639,52 @@ void run_sweep_fleet(ExperimentRunner& runner, const std::vector<ExperimentConfi
     return false;
   };
 
-  std::vector<size_t> deferred;
-  for (const size_t i : order) {
-    if (interrupted()) break;
-    if (!attempt(i, /*steal_pass=*/false)) deferred.push_back(i);
+  std::atomic<size_t> cursor{0};
+  const auto worker = [&] {
+    try {
+      while (!interrupted()) {
+        const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (k >= order.size()) return;
+        if (!attempt(order[k], /*steal_pass=*/false)) {
+          std::lock_guard<std::mutex> lock(mu);
+          deferred.push_back(order[k]);
+        }
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!error) error = std::current_exception();
+      stop = true;
+    }
+  };
+  if (threads == 1) {
+    worker();  // inline: the experiments keep op-level parallelism
+  } else {
+    // Experiment-level parallelism replaces op-level: each thread's
+    // parallel_for calls run serially, so N threads do not oversubscribe
+    // N*pool threads, and every experiment stays bit-identical.
+    std::vector<std::thread> claimers;
+    claimers.reserve(static_cast<size_t>(threads));
+    for (int t = 0; t < threads; ++t) {
+      claimers.emplace_back([&worker] {
+        ThreadPool::SerialGuard guard;
+        worker();
+      });
+    }
+    for (std::thread& th : claimers) th.join();
   }
+  if (error) std::rethrow_exception(error);
 
   // Convergence: wait for deferred rows to land in the shared cache,
   // re-attempting each round with backoff. A claim whose holder was
-  // killed is immediately claimable again, so any one surviving worker
+  // killed is immediately claimable again, so any one surviving process
   // eventually finishes the whole grid.
   int backoff_ms = 50;
-  while (!deferred.empty() && !interrupted()) {
+  while (!deferred.empty() && !stop) {
     std::vector<size_t> still;
-    still.reserve(deferred.size());
     for (const size_t i : deferred) {
       if (interrupted()) break;
       if (!attempt(i, /*steal_pass=*/true)) still.push_back(i);
     }
-    if (sum.interrupted) break;
     if (still.size() == deferred.size()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       backoff_ms = std::min(backoff_ms * 2, 1000);
@@ -658,10 +695,12 @@ void run_sweep_fleet(ExperimentRunner& runner, const std::vector<ExperimentConfi
   }
 
   // Grid order; gaps (interrupt before convergence) are simply absent.
+  std::vector<ExperimentResult> results;
   results.reserve(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
     if (done[i]) results.push_back(std::move(slots[i]));
   }
+  return results;
 }
 
 /// Shared sweep epilogue: interrupt-path artifact flushing (Chrome trace
@@ -714,17 +753,22 @@ std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const Experime
                                         const std::vector<uint64_t>& run_seeds,
                                         const SweepOptions& options, SweepSummary* summary) {
   install_sigint_handler();
-  std::vector<ExperimentResult> results;
   SweepSummary local;
   SweepSummary& sum = summary ? *summary : local;
   sum = SweepSummary{};
   sum.total = strategies.size() * compressions.size() * run_seeds.size();
-  const int retries = sweep_retries(options);
-  const ShardSpec shard = resolve_shard(options);
-  // Fleet workers stream completion-ordered rows to a per-shard file so
-  // two processes never interleave writes in one stream; the canonical
-  // grid-ordered CSV is whatever the caller writes from the returned
-  // (full-grid) results.
+  const int retries = static_cast<int>(option_or_env(options.retries, "SB_RETRIES", 0, 1));
+  ShardSpec shard;
+  shard.count = static_cast<int>(
+      std::max(1L, option_or_env(options.shard_count, "SB_FLEET_SHARDS", 1, 1)));
+  const long id = option_or_env(options.shard_id, "SB_FLEET_SHARD", 0, 0);
+  if (id >= shard.count) {
+    SB_LOG_WARN("sweep", "shard id %ld out of range for %d shards — clamping", id, shard.count);
+  }
+  shard.id = static_cast<int>(std::min<long>(id, shard.count - 1));
+  // Each fleet process streams to its own file, so two processes never
+  // interleave writes in one stream; the canonical CSV is whatever the
+  // caller writes from the returned (full-grid) results.
   std::string stream_path = options.csv_path;
   if (shard.count > 1 && !stream_path.empty()) {
     stream_path += ".shard" + std::to_string(shard.id);
@@ -740,8 +784,7 @@ std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const Experime
   if (obs::telemetry_enabled()) obs::Telemetry::instance().start_sampler();
 
   // Flatten the grid in (strategy, compression, seed) order — the row
-  // order of the sequential sweep, which the parallel path preserves by
-  // flushing completed slots as a contiguous prefix.
+  // order of every CSV the sweep writes.
   std::vector<ExperimentConfig> grid;
   grid.reserve(sum.total);
   for (const std::string& strategy : strategies) {
@@ -756,135 +799,14 @@ std::vector<ExperimentResult> run_sweep(ExperimentRunner& runner, const Experime
     }
   }
 
-  const int workers =
-      std::min<int>(sweep_workers(options), std::max<int>(1, static_cast<int>(grid.size())));
-
-  if (shard.count > 1) {
-    // Multi-process fleet: this process is one of shard.count workers
-    // coordinating through the shared result cache. In-process sweep
-    // workers are not layered on top — processes are the workers, each
-    // keeping op-level parallelism for its own experiments.
-    SB_PROFILE_SCOPE("sweep");
-    run_sweep_fleet(runner, grid, shard, csv, sum, retries, results);
-    finish_sweep_artifacts(options, sum, results);
-    return results;
-  }
-
-  const auto sweep_start = std::chrono::steady_clock::now();
-  // ETA bookkeeping: only cache-miss (actually computed) experiments
-  // count, otherwise a mostly-cached sweep predicts an absurdly
-  // optimistic finish for the remaining cold runs.
-  double miss_seconds = 0.0;
-  size_t misses = 0;
+  const int threads = static_cast<int>(std::min<long>(
+      std::clamp(option_or_env(options.parallel, "SB_SWEEP_PARALLEL", 1, 1), 1L, 64L),
+      std::max<long>(1, static_cast<long>(grid.size()))));
+  SB_LOG_INFO("sweep", "shard %d/%d: %zu grid points on %d thread(s) (cache %s)", shard.id,
+              shard.count, grid.size(), threads, runner.cache_dir().c_str());
   SB_PROFILE_SCOPE("sweep");
-
-  // Shared sweep state. Everything below mu is claim/flush bookkeeping;
-  // the experiments themselves run outside the lock.
-  std::vector<ExperimentResult> slots(grid.size());
-  std::vector<char> done(grid.size(), 0);
-  size_t flushed = 0;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> stop{false};
-  std::exception_ptr first_error;
-  std::mutex mu;
-
-  auto worker = [&](bool serialize_inner) {
-    // Sweep workers own experiment-level parallelism: inner parallel_for
-    // calls run serially so N workers do not oversubscribe N*pool
-    // threads, and each experiment's arithmetic stays bit-identical to a
-    // sequential run. The workers==1 inline path skips the guard and
-    // keeps op-level parallelism instead.
-    std::optional<ThreadPool::SerialGuard> guard;
-    if (serialize_inner) guard.emplace();
-    for (;;) {
-      size_t i;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (obs::fault_point("sweep.interrupt")) request_sweep_interrupt();
-        if (sweep_interrupt_requested()) {
-          sum.interrupted = true;
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (obs::fault_point("sweep.abort")) {
-          if (!first_error) {
-            first_error = std::make_exception_ptr(
-                std::runtime_error("injected sweep abort (SB_FAULT=sweep.abort)"));
-          }
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= grid.size()) return;
-      }
-
-      const auto exp_start = std::chrono::steady_clock::now();
-      ExperimentResult result = run_one_config(runner, grid[i], retries);
-
-      std::lock_guard<std::mutex> lock(mu);
-      if (result.failed) {
-        ++sum.failures;
-      } else if (result.from_cache) {
-        ++sum.cache_hits;
-      } else {
-        miss_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - exp_start).count();
-        ++misses;
-      }
-      slots[i] = std::move(result);
-      done[i] = 1;
-      // Emit every newly contiguous row: grid order in the CSV and the
-      // returned vector, whatever order workers finish in.
-      while (flushed < grid.size() && done[flushed]) {
-        results.push_back(std::move(slots[flushed]));
-        ++flushed;
-        ++sum.completed;
-        const ExperimentResult& r = results.back();
-        csv.write_line(experiment_csv_row(r));
-
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-                .count();
-        // ETA only exists once a cache-miss timing does; -1 = unknown
-        // (formatted as "unknown", published as unknown to the heartbeat)
-        // instead of the old misleading 0.0 on an all-cache-hit prefix.
-        const double eta = misses > 0 ? miss_seconds / static_cast<double>(misses) *
-                                            static_cast<double>(sum.total - sum.completed) /
-                                            static_cast<double>(workers)
-                                      : -1.0;
-        char outcome[48];
-        if (r.failed) {
-          std::snprintf(outcome, sizeof(outcome), "FAILED");
-        } else {
-          std::snprintf(outcome, sizeof(outcome), "top1 %.4f", r.post_top1);
-        }
-        SB_LOG_INFO("sweep", "%zu/%zu %s %s x%.0f seed=%llu -> %s (c=%.2f) "
-                    "[elapsed %.1fs, eta %s]",
-                    sum.completed, sum.total, r.config.arch.c_str(), r.config.strategy.c_str(),
-                    r.config.target_compression,
-                    static_cast<unsigned long long>(r.config.run_seed), outcome, r.compression,
-                    elapsed, format_sweep_eta(eta).c_str());
-        obs::status_set_progress(sum.completed, sum.total, eta);
-        obs::status_set_failures(static_cast<int64_t>(sum.failures),
-                                 static_cast<int64_t>(sum.cache_hits));
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker(/*serialize_inner=*/false);
-  } else {
-    SB_LOG_INFO("sweep", "sharding %zu experiments across %d workers (SB_SWEEP_PARALLEL)",
-                sum.total, workers);
-    std::vector<std::thread> crew;
-    crew.reserve(static_cast<size_t>(workers));
-    for (int t = 0; t < workers; ++t) {
-      crew.emplace_back([&worker] { worker(/*serialize_inner=*/true); });
-    }
-    for (std::thread& th : crew) th.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  std::vector<ExperimentResult> results =
+      claim_grid(runner, grid, shard, threads, retries, csv, sum);
   finish_sweep_artifacts(options, sum, results);
   return results;
 }

@@ -131,35 +131,38 @@ class ExperimentRunner {
 
 /// Knobs for run_sweep's fault tolerance and incremental output.
 struct SweepOptions {
-  /// Non-empty: every finished result row is appended (and flushed) to
-  /// this CSV as it completes, header first, so an interrupted bench
-  /// loses nothing already computed. Benches rewrite the same path
-  /// atomically at the end, making the final file canonical.
+  /// Non-empty: finished result rows are appended (and flushed) to this
+  /// CSV in grid order, each as soon as every row before it is done,
+  /// header first, so an interrupted bench keeps its finished prefix.
+  /// Benches rewrite the same path atomically at the end, making the
+  /// final file canonical.
   std::string csv_path;
   /// Append to an existing csv_path instead of truncating it — for
-  /// benches that pour several sweeps into one CSV.
+  /// benches that pour several sweeps into one CSV. A torn last line
+  /// (a kill mid-append) is cut off before appending.
   bool append = false;
   /// Extra attempts for an experiment that throws; -1 reads SB_RETRIES
   /// from the environment (default 1).
   int retries = -1;
-  /// Worker threads sharding the sweep's independent grid points; -1
-  /// reads SB_SWEEP_PARALLEL from the environment (default 1 =
-  /// sequential). Workers run with the tensor thread pool disabled for
-  /// their experiments (experiment-level parallelism replaces op-level),
-  /// so each experiment still computes bit-identical results; rows are
-  /// emitted in grid order regardless of completion order.
+  /// Threads claiming this process's grid points; -1 reads
+  /// SB_SWEEP_PARALLEL from the environment (default 1). The threads
+  /// share one cursor over the claim order and, when there are several,
+  /// run their experiments with the tensor thread pool disabled
+  /// (experiment-level parallelism replaces op-level), so each
+  /// experiment still computes bit-identical results. Composes with
+  /// shards: a fleet of P processes x T threads has P*T claimers.
   int parallel = -1;
-  /// Multi-process fleet sharding: this process owns grid indices with
-  /// i % shard_count == shard_id, claims them through flock'd claim
-  /// files in the shared result cache, then steals whatever unclaimed
-  /// work remains and waits for peers' rows to land in the cache — on
-  /// return the results vector covers the FULL grid in grid order, so
-  /// any worker's final CSV is byte-identical to a sequential sweep's.
-  /// -1 reads SB_FLEET_SHARD / SB_FLEET_SHARDS from the environment
-  /// (default: no sharding). With shard_count > 1 the incremental CSV
-  /// streams completion-ordered rows to csv_path + ".shard<id>" and
-  /// in-process sweep workers (`parallel`) are ignored: processes are
-  /// the workers, each keeping its own op-level thread pool.
+  /// Every sweep is shard shard_id of shard_count, and a plain
+  /// sequential sweep is shard 0 of 1. The process claims grid points
+  /// through flock'd claim files in the shared result cache: its own
+  /// shard first (indices with i % shard_count == shard_id), then the
+  /// rest; points a peer holds are deferred and waited out, so on return
+  /// the results cover the FULL grid in grid order and any process's
+  /// final CSV is byte-identical to a sequential sweep's. -1 reads
+  /// SB_FLEET_SHARD / SB_FLEET_SHARDS from the environment (default 0
+  /// of 1). With shard_count > 1 the incremental CSV streams to
+  /// csv_path + ".shard<id>"; every stream holds the grid-ordered
+  /// contiguous prefix of the finished rows.
   int shard_id = -1;
   int shard_count = -1;
 };
@@ -171,8 +174,8 @@ struct SweepSummary {
   size_t completed = 0;   // rows produced (including failed rows)
   size_t failures = 0;    // rows that failed after all retries
   size_t cache_hits = 0;  // rows served from the on-disk result cache
-  /// Fleet mode only: grid points this worker computed after first
-  /// deferring them to a peer — the peer released the claim without
+  /// Grid points this process computed after first deferring them to a
+  /// peer holding the claim — the peer released the claim without
   /// producing a cache entry (it was preempted, or the row failed).
   size_t stolen = 0;
   bool interrupted = false;  // SIGINT (or injected interrupt) stopped the sweep

@@ -71,7 +71,13 @@ ModelPtr PretrainedStore::get(const DatasetBundle& bundle, const std::string& ar
   lock_path += ".lock";
   obs::FileLock lock;
   if (!lock.acquire(lock_path, /*poll_ms=*/200, [] { return sweep_interrupt_requested(); })) {
-    throw std::runtime_error("pretrain interrupted while waiting for " + lock_path.string());
+    if (!lock.open_failed()) {
+      throw std::runtime_error("pretrain interrupted while waiting for " + lock_path.string());
+    }
+    // An unopenable lock file would never free up: train unguarded. A
+    // racing peer may train the same model too; save_checkpoint's atomic
+    // rename keeps the shared .ckpt whole either way.
+    SB_LOG_WARN("pretrain", "training %s without the cross-process lock", path.string().c_str());
   }
   if (std::filesystem::exists(path)) {
     // A peer finished it while we waited for the lock. Unlink the lock

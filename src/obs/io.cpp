@@ -1,9 +1,11 @@
 #include "obs/io.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -174,6 +176,7 @@ FileLock& FileLock::operator=(FileLock&& other) noexcept {
 
 bool FileLock::try_acquire(const std::filesystem::path& path) {
   if (held()) release();
+  open_failed_ = false;
 #if defined(_WIN32)
   // No flock on Windows; degrade to always-succeeds (single-process
   // semantics — the fleet is a POSIX feature).
@@ -185,8 +188,10 @@ bool FileLock::try_acquire(const std::filesystem::path& path) {
   if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path(), ec);
   const int fd = ::open(path.string().c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
+    open_failed_ = true;
     count("io.lock_open_failed");
-    SB_LOG_WARN("io", "cannot open lock file %s", path.string().c_str());
+    SB_LOG_WARN("io", "cannot open lock file %s (%s)", path.string().c_str(),
+                std::strerror(errno));
     return false;
   }
   if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
@@ -213,7 +218,7 @@ bool FileLock::acquire(const std::filesystem::path& path, int poll_ms,
                        const std::function<bool()>& cancelled) {
   if (poll_ms < 1) poll_ms = 1;
   while (!try_acquire(path)) {
-    if (cancelled && cancelled()) return false;
+    if (open_failed_ || (cancelled && cancelled())) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
   }
   return true;

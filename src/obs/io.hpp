@@ -11,9 +11,9 @@
 // fleet worker processes) of the same destination from clobbering each
 // other's temp file mid-flush.
 //
-// FileLock is the cross-process claim primitive behind the sharded
-// sweep fleet: an exclusive flock(2) on an O_CREAT'ed lock file. The
-// kernel drops the lock when the holder dies (including kill -9), so a
+// FileLock is the cross-process claim primitive behind run_sweep's claim
+// loop: an exclusive flock(2) on an O_CREAT'ed lock file. The kernel
+// drops the lock when the holder dies (including kill -9), so a
 // preempted fleet worker never wedges the grid behind a stale claim.
 //
 // Fault injection (tests only):
@@ -80,13 +80,21 @@ class FileLock {
 
   /// Non-blocking acquire: creates `path` (and parents) if needed and
   /// tries LOCK_EX | LOCK_NB. On success the file records "<pid>" for
-  /// debugging. False when another holder (process or fd) has it.
+  /// debugging. False when another holder (process or fd) has it, or
+  /// when the lock file cannot be opened at all — open_failed() tells
+  /// the two apart.
   bool try_acquire(const std::filesystem::path& path);
 
   /// Polling acquire: retries try_acquire every `poll_ms` until it
-  /// succeeds or `cancelled` (optional) returns true. Returns held().
+  /// succeeds, the lock file cannot be opened (no retry can fix that),
+  /// or `cancelled` (optional) returns true. Returns held().
   bool acquire(const std::filesystem::path& path, int poll_ms = 100,
                const std::function<bool()>& cancelled = nullptr);
+
+  /// True when the last acquire attempt failed because the lock file
+  /// could not be opened (counted as "io.lock_open_failed"), not because
+  /// a peer holds the lock. Callers then go on without the lock.
+  bool open_failed() const { return open_failed_; }
 
   /// Drops the lock. With `unlink_file` the lock file is removed first
   /// (while still held), so the common path leaves no litter behind.
@@ -97,6 +105,7 @@ class FileLock {
 
  private:
   int fd_ = -1;
+  bool open_failed_ = false;
   std::filesystem::path path_;
 };
 

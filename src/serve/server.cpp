@@ -205,7 +205,7 @@ ServerStats InferenceServer::stats() const {
 
 void InferenceServer::worker_loop(int worker_index) {
   // With several workers, parallelism lives at the batch level and the
-  // kernels inside run inline-serial (the run_sweep shard-crew pattern);
+  // kernels inside run inline-serial (as in run_sweep's claiming threads);
   // a single worker instead lets each kernel fan out over the pool.
   std::optional<ThreadPool::SerialGuard> guard;
   if (opts_.workers > 1) guard.emplace();

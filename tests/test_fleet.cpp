@@ -81,12 +81,13 @@ int64_t train_epochs_counter() {
 }
 
 /// Runs one fleet worker in this (child) process: full sweep over the
-/// shared cache as shard `id` of `count`, then reports the number of
-/// training epochs this process actually ran via a summary file the
-/// parent reads back. Exits with the sweep's exit code (or 99 on throw).
+/// shared cache as shard `id` of `count` on `parallel` claiming threads,
+/// then reports the number of training epochs this process actually ran
+/// via a summary file the parent reads back. Exits with the sweep's exit
+/// code (or 99 on throw).
 [[noreturn]] void run_worker(const std::string& cache, const fs::path& out_dir, int id, int count,
                              const std::vector<std::string>& strategies,
-                             const std::vector<double>& ratios) {
+                             const std::vector<double>& ratios, int parallel = 1) {
   obs::set_profiling_enabled(true);  // child-local; parent stays clean
   int code = 99;
   try {
@@ -95,6 +96,7 @@ int64_t train_epochs_counter() {
     opts.csv_path = (out_dir / ("fleet" + std::to_string(id) + ".csv")).string();
     opts.shard_id = id;
     opts.shard_count = count;
+    opts.parallel = parallel;
     SweepSummary sum;
     const std::vector<ExperimentResult> results =
         run_sweep(runner, fleet_config(), strategies, ratios, {1}, opts, &sum);
@@ -223,70 +225,78 @@ TEST_F(FleetFixture, TwoWorkersComputeExactlyOnceAndAgreeByteForByte) {
   const std::vector<std::string> strategies = {"global-weight", "layer-weight"};
   const std::vector<double> ratios = {2.0, 4.0};
 
-  std::vector<pid_t> pids;
-  for (int i = 0; i < 2; ++i) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) run_worker(cache_dir, out_dir, i, 2, strategies, ratios);
-    pids.push_back(pid);
+  // Threads compose with shards: each worker claims through the same
+  // protocol on one thread, then on two.
+  for (const int parallel : {1, 2}) {
+    SCOPED_TRACE("parallel " + std::to_string(parallel));
+    fs::remove_all(cache_dir);
+    fs::remove_all(out_dir);
+    fs::create_directories(out_dir);
+    std::vector<pid_t> pids;
+    for (int i = 0; i < 2; ++i) {
+      const pid_t pid = fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) run_worker(cache_dir, out_dir, i, 2, strategies, ratios, parallel);
+      pids.push_back(pid);
+    }
+    for (const pid_t pid : pids) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      ASSERT_TRUE(WIFEXITED(status));
+      EXPECT_EQ(WEXITSTATUS(status), 0);
+    }
+
+    // Exactly-once compute, counted in actual training epochs: pretraining
+    // (2 epochs, once, fleet-wide) + 4 rows x 1 fine-tune epoch, however
+    // they were distributed.
+    const int64_t e0 = summary_value(out_dir / "worker0.summary", "epochs");
+    const int64_t e1 = summary_value(out_dir / "worker1.summary", "epochs");
+    EXPECT_EQ(e0 + e1, 2 + 4);
+
+    // Every worker converged to the full grid...
+    EXPECT_EQ(summary_value(out_dir / "worker0.summary", "rows"), 4);
+    EXPECT_EQ(summary_value(out_dir / "worker1.summary", "rows"), 4);
+
+    // ...and their final CSVs are byte-identical to each other and to a
+    // sequential sweep of the same grid over the same cache.
+    const std::string csv0 = slurp(out_dir / "fleet0.csv");
+    const std::string csv1 = slurp(out_dir / "fleet1.csv");
+    ASSERT_FALSE(csv0.empty());
+    EXPECT_EQ(csv0, csv1);
+
+    ExperimentRunner runner(cache_dir);
+    SweepOptions control;
+    control.shard_id = 0;
+    control.shard_count = 1;
+    control.parallel = 1;
+    SweepSummary control_sum;
+    const auto control_results =
+        run_sweep(runner, fleet_config(), strategies, ratios, {1}, control, &control_sum);
+    EXPECT_EQ(control_sum.cache_hits, 4u);  // fully warm: nothing recomputed
+    const fs::path control_csv = out_dir / "control.csv";
+    write_experiment_csv(control_csv.string(), control_results);
+    EXPECT_EQ(csv0, slurp(control_csv));
+
+    // The per-shard streams exist and carry the same rows.
+    const std::string stream0 = slurp(out_dir / "fleet0.csv.shard0");
+    const std::string stream1 = slurp(out_dir / "fleet1.csv.shard1");
+    ASSERT_FALSE(stream0.empty());
+    ASSERT_FALSE(stream1.empty());
+    const auto sorted_lines = [](const std::string& text) {
+      std::vector<std::string> lines;
+      std::istringstream ss(text);
+      for (std::string line; std::getline(ss, line);) lines.push_back(line);
+      std::sort(lines.begin(), lines.end());
+      return lines;
+    };
+    EXPECT_EQ(sorted_lines(stream0), sorted_lines(csv0));
+    EXPECT_EQ(sorted_lines(stream1), sorted_lines(csv0));
+
+    // No claim or quarantine debris in the shared cache.
+    EXPECT_EQ(count_files_with(cache_dir, ".claim"), 0u);
+    EXPECT_EQ(count_files_with(cache_dir, ".corrupt"), 0u);
+    EXPECT_EQ(count_files_with(cache_dir, ".lock"), 0u);
   }
-  for (const pid_t pid : pids) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-  }
-
-  // Exactly-once compute, counted in actual training epochs: pretraining
-  // (2 epochs, once, fleet-wide) + 4 rows x 1 fine-tune epoch, however
-  // they were distributed.
-  const int64_t e0 = summary_value(out_dir / "worker0.summary", "epochs");
-  const int64_t e1 = summary_value(out_dir / "worker1.summary", "epochs");
-  EXPECT_EQ(e0 + e1, 2 + 4);
-
-  // Every worker converged to the full grid...
-  EXPECT_EQ(summary_value(out_dir / "worker0.summary", "rows"), 4);
-  EXPECT_EQ(summary_value(out_dir / "worker1.summary", "rows"), 4);
-
-  // ...and their final CSVs are byte-identical to each other and to a
-  // sequential sweep of the same grid over the same cache.
-  const std::string csv0 = slurp(out_dir / "fleet0.csv");
-  const std::string csv1 = slurp(out_dir / "fleet1.csv");
-  ASSERT_FALSE(csv0.empty());
-  EXPECT_EQ(csv0, csv1);
-
-  ExperimentRunner runner(cache_dir);
-  SweepOptions control;
-  control.shard_id = 0;
-  control.shard_count = 1;
-  control.parallel = 1;
-  SweepSummary control_sum;
-  const auto control_results =
-      run_sweep(runner, fleet_config(), strategies, ratios, {1}, control, &control_sum);
-  EXPECT_EQ(control_sum.cache_hits, 4u);  // fully warm: nothing recomputed
-  const fs::path control_csv = out_dir / "control.csv";
-  write_experiment_csv(control_csv.string(), control_results);
-  EXPECT_EQ(csv0, slurp(control_csv));
-
-  // Completion-ordered shard streams exist and carry the same rows.
-  const std::string stream0 = slurp(out_dir / "fleet0.csv.shard0");
-  const std::string stream1 = slurp(out_dir / "fleet1.csv.shard1");
-  ASSERT_FALSE(stream0.empty());
-  ASSERT_FALSE(stream1.empty());
-  const auto sorted_lines = [](const std::string& text) {
-    std::vector<std::string> lines;
-    std::istringstream ss(text);
-    for (std::string line; std::getline(ss, line);) lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    return lines;
-  };
-  EXPECT_EQ(sorted_lines(stream0), sorted_lines(csv0));
-  EXPECT_EQ(sorted_lines(stream1), sorted_lines(csv0));
-
-  // No claim or quarantine debris in the shared cache.
-  EXPECT_EQ(count_files_with(cache_dir, ".claim"), 0u);
-  EXPECT_EQ(count_files_with(cache_dir, ".corrupt"), 0u);
-  EXPECT_EQ(count_files_with(cache_dir, ".lock"), 0u);
 }
 
 TEST_F(FleetFixture, FleetConvergesAfterWorkerIsKilled) {

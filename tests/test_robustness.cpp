@@ -8,11 +8,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -442,6 +445,142 @@ TEST_F(RobustnessFixture, PendingInterruptStopsSweepBeforeWork) {
   clear_sweep_interrupt();
   EXPECT_TRUE(results.empty());
   EXPECT_TRUE(summary.interrupted);
+}
+
+// ---- unopenable lock files ----
+
+/// Turns a hang into a failure: unless disarmed within 20 s it requests
+/// a sweep interrupt, which every sweep loop and pretrain wait honors.
+class Watchdog {
+ public:
+  Watchdog()
+      : thread_([this] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, std::chrono::seconds(20), [this] { return disarmed_; })) {
+            fired_ = true;
+            request_sweep_interrupt();
+          }
+        }) {}
+  ~Watchdog() { disarm(); }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  /// Stops the timer; true when it had already fired.
+  bool disarm() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      disarmed_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+    return fired_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool disarmed_ = false;
+  bool fired_ = false;
+  std::thread thread_;
+};
+
+int64_t counter(const char* name) {
+  const auto snap = obs::Profiler::instance().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// Regression: an unopenable claim file used to read as a claim a peer
+// holds, so a fleet worker deferred every point and polled forever. It
+// must compute the rows unclaimed (and uncached) instead.
+TEST_F(RobustnessFixture, UnopenableClaimFileComputesInsteadOfPolling) {
+  obs::set_profiling_enabled(true);
+  obs::Profiler::instance().reset();
+  std::ofstream(fs::path(cache_dir) / "results") << "a file where the results dir belongs\n";
+  SweepOptions options;
+  options.shard_id = 0;
+  options.shard_count = 2;
+  options.retries = 0;
+  SweepSummary summary;
+  Watchdog watchdog;
+  const auto results =
+      run_sweep(*runner, tiny_config(), {"global-weight"}, {2.0, 4.0}, {1}, options, &summary);
+  EXPECT_FALSE(watchdog.disarm());
+  EXPECT_FALSE(summary.interrupted);
+  ASSERT_EQ(results.size(), 2u);
+  for (const ExperimentResult& r : results) {
+    EXPECT_FALSE(r.failed) << r.error;
+    EXPECT_FALSE(r.from_cache);
+  }
+  EXPECT_GE(counter("io.lock_open_failed"), 2);
+  obs::set_profiling_enabled(false);
+}
+
+// Regression: the same misreading made PretrainedStore::get poll an
+// unopenable <ckpt>.lock every 200 ms forever, in every sweep mode.
+TEST_F(RobustnessFixture, UnopenablePretrainLockTrainsInsteadOfPolling) {
+  obs::set_profiling_enabled(true);
+  obs::Profiler::instance().reset();
+  const ExperimentConfig cfg = tiny_config();
+  const DatasetBundle& bundle = runner->dataset(cfg.dataset, cfg.data_seed);
+  // PretrainedStore's checkpoint name; a directory in its lock file's
+  // place can never be opened as a file.
+  const std::string ckpt = bundle.spec.name + "_s" + std::to_string(bundle.spec.seed) + "_" +
+                           cfg.arch + "_w" + std::to_string(cfg.width) + "_i" +
+                           std::to_string(cfg.init_seed) + "_" + cfg.pretrain_tag + ".ckpt";
+  fs::create_directories(fs::path(cache_dir) / (ckpt + ".lock"));
+  Watchdog watchdog;
+  ModelPtr model;
+  try {
+    model = runner->pretrained(cfg);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  EXPECT_FALSE(watchdog.disarm());
+  EXPECT_FALSE(sweep_interrupt_requested());
+  EXPECT_NE(model, nullptr);
+  EXPECT_TRUE(fs::exists(fs::path(cache_dir) / ckpt));
+  EXPECT_GE(counter("io.lock_open_failed"), 1);
+  obs::set_profiling_enabled(false);
+}
+
+// Regression: resuming an incremental CSV whose last line was torn by a
+// kill mid-append glued the next row onto the fragment.
+TEST_F(RobustnessFixture, ResumedCsvDropsTornLastLine) {
+  obs::set_profiling_enabled(true);
+  obs::Profiler::instance().reset();
+  const ExperimentConfig base = tiny_config();
+  SweepOptions options;
+  options.csv_path = out_dir + "/torn.csv";
+  run_sweep(*runner, base, {"global-weight"}, {2.0}, {1}, options);
+  const std::string fragment = "synth-mnist,lenet-300-100,0,glob";
+  std::ofstream(options.csv_path, std::ios::app) << fragment;
+
+  options.append = true;
+  SweepSummary summary;
+  run_sweep(*runner, base, {"global-weight"}, {4.0}, {1}, options, &summary);
+  EXPECT_EQ(summary.completed, 1u);
+  EXPECT_EQ(counter("sweep.csv_torn_tail"), 1);
+  obs::set_profiling_enabled(false);
+
+  // Every line is whole, and the fragment's "synth-mnist" is gone: one
+  // per row is left.
+  const auto fields = [](const std::string& line) {
+    return std::count(line.begin(), line.end(), ',');
+  };
+  std::istringstream csv(slurp(options.csv_path));
+  std::vector<std::string> lines;
+  size_t datasets = 0;
+  for (std::string line; std::getline(csv, line);) {
+    EXPECT_EQ(fields(line), fields(experiment_csv_header())) << line;
+    for (size_t at = line.find("synth-mnist"); at != std::string::npos;
+         at = line.find("synth-mnist", at + 1)) {
+      ++datasets;
+    }
+    lines.push_back(line);
+  }
+  EXPECT_EQ(lines.size(), 3u);  // header + one row per sweep
+  EXPECT_EQ(datasets, 2u);
 }
 
 // ---- training checkpoints ----
