@@ -105,7 +105,6 @@ CellResult run_cell(const serve::Executor& exec, int clients, double seconds) {
   ServerOptions sopts;
   sopts.workers = 1;  // single worker: kernels fan out over the pool
   sopts.max_batch = 8;
-  sopts.max_wait_us = 1000;
   InferenceServer server(exec, sopts);
 
   Rng rng(23);
@@ -177,7 +176,6 @@ OverloadResult run_overload_cell(const serve::Executor& exec, serve::OverloadPol
   ServerOptions sopts;
   sopts.workers = 1;
   sopts.max_batch = 8;
-  sopts.max_wait_us = 1000;
   sopts.queue_capacity = 64;
   sopts.overload_policy = policy;
   sopts.default_deadline_us = deadline_us;

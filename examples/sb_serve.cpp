@@ -62,8 +62,9 @@ void usage(const char* argv0) {
       "  --mode NAME      dense | csr | shrunk (default csr)\n"
       "  --keep F         fraction of prunable weights kept (default 0.25)\n"
       "  --workers N      server worker threads (default 1)\n"
-      "  --max-batch N    dynamic batcher flush size (default 8)\n"
-      "  --max-wait-us N  dynamic batcher flush age (default 2000)\n"
+      "  --max-batch N    most queued requests one executor call takes\n"
+      "                   (default 8); an idle worker never waits for\n"
+      "                   more, so batches form only while workers are busy\n"
       "  --queue-capacity N  bounded request queue size (default 256)\n"
       "  --policy NAME    full-queue policy: block | reject | drop-oldest\n"
       "                   (default: SB_SERVE_OVERLOAD, then block)\n"
@@ -135,8 +136,6 @@ int main(int argc, char** argv) {
       sopts.workers = std::atoi(next().c_str());
     } else if (a == "--max-batch") {
       sopts.max_batch = std::atoll(next().c_str());
-    } else if (a == "--max-wait-us") {
-      sopts.max_wait_us = std::atoll(next().c_str());
     } else if (a == "--queue-capacity") {
       sopts.queue_capacity = static_cast<size_t>(std::atoll(next().c_str()));
     } else if (a == "--policy") {

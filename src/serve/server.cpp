@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -73,7 +74,13 @@ InferenceServer::InferenceServer(const Executor& exec, ServerOptions opts)
   if (opts_.default_deadline_us) {
     default_deadline_us_ = *opts_.default_deadline_us;
   } else if (const char* env = std::getenv("SB_SERVE_DEADLINE_US"); env && *env) {
-    default_deadline_us_ = std::max<int64_t>(0, std::atoll(env));
+    char* end = nullptr;
+    const long long us = std::strtoll(env, &end, 10);
+    if (end == env || *end != '\0') {
+      throw std::invalid_argument("SB_SERVE_DEADLINE_US='" + std::string(env) +
+                                  "' is not an integer number of microseconds");
+    }
+    default_deadline_us_ = std::max<int64_t>(0, us);
   }
 
   watch_.resize(static_cast<size_t>(opts_.workers));
@@ -120,7 +127,11 @@ std::future<Tensor> InferenceServer::submit(Tensor sample, int64_t deadline_us) 
   Request req;
   req.sample = std::move(sample);
   req.enqueued = Clock::now();
-  if (effective_deadline > 0) {
+  // A deadline past the last time point the clock can represent would
+  // overflow the addition; it saturates to no deadline instead.
+  const auto headroom = std::chrono::duration_cast<std::chrono::microseconds>(
+      Clock::time_point::max() - req.enqueued);
+  if (effective_deadline > 0 && effective_deadline < headroom.count()) {
     req.deadline = req.enqueued + std::chrono::microseconds(effective_deadline);
     req.has_deadline = true;
   }
@@ -215,56 +226,33 @@ void InferenceServer::worker_loop(int worker_index) {
   for (;;) {
     batch.clear();
     expired.clear();
-    bool drained = false;
+    Clock::time_point dequeued;
     size_t depth_after = 0;
-
-    // Moves every queued request whose deadline has passed into
-    // `expired`. Deadlines are per-request, so an expired entry can sit
-    // behind a live one — scan the whole queue, preserving FIFO order
-    // of the survivors.
-    const auto sweep_expired = [&](Clock::time_point now) {
-      for (size_t i = 0; i < queue_.size();) {
-        if (queue_[i].has_deadline && queue_[i].deadline <= now) {
-          expired.push_back(std::move(queue_[i]));
-          queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(i));
-          queue_has_space_.notify_one();
-        } else {
-          ++i;
-        }
-      }
-    };
-
     {
       std::unique_lock<std::mutex> lk(mu_);
-      for (;;) {
-        queue_nonempty_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
-        sweep_expired(Clock::now());
-        // Break even when the sweep emptied the queue: the expired
-        // requests must be fulfilled now, not when the next one arrives.
-        if (!queue_.empty() || stopping_ || !expired.empty()) break;
-      }
-      if (queue_.empty()) {
-        drained = stopping_;  // nothing left to batch; exit only on drain
-      } else {
-        // Dynamic batching: flush when full, or when the oldest request
-        // has waited max_wait_us.
-        const auto flush_at =
-            queue_.front().enqueued + std::chrono::microseconds(opts_.max_wait_us);
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        queue_has_space_.notify_one();
-        while (static_cast<int64_t>(batch.size()) < opts_.max_batch) {
-          sweep_expired(Clock::now());
-          if (!queue_.empty()) {
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            queue_has_space_.notify_one();
-            continue;
-          }
-          if (stopping_) break;  // draining: never wait for more arrivals
-          if (queue_nonempty_.wait_until(lk, flush_at) == std::cv_status::timeout) break;
+      queue_nonempty_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping and drained
+      dequeued = Clock::now();
+      // Deadlines are per-request, so an expired entry can sit behind a
+      // live one: one pass over the whole queue moves every expired
+      // request out and compacts the survivors in FIFO order.
+      auto keep = queue_.begin();
+      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        if (it->has_deadline && it->deadline <= dequeued) {
+          expired.push_back(std::move(*it));
+        } else {
+          if (keep != it) *keep = std::move(*it);
+          ++keep;
         }
       }
+      queue_.erase(keep, queue_.end());
+      // Work-conserving batching: an idle worker runs whatever is queued
+      // right now, never waiting for more arrivals. Batches therefore
+      // form only from requests that queued while every worker was busy.
+      const auto take = queue_.begin() + std::min<ptrdiff_t>(queue_.size(), opts_.max_batch);
+      std::move(queue_.begin(), take, std::back_inserter(batch));
+      queue_.erase(queue_.begin(), take);
+      queue_has_space_.notify_all();  // the queue was non-empty: space freed
       depth_after = queue_.size();
       if (!expired.empty()) {
         stats_.deadline_exceeded += static_cast<int64_t>(expired.size());
@@ -280,8 +268,14 @@ void InferenceServer::worker_loop(int worker_index) {
                  "serve.deadline_exceeded");
       publish_serve_status();
     }
-    if (!batch.empty()) run_batch(batch, worker_index);
-    if (drained && batch.empty()) return;
+    if (batch.empty()) continue;
+    const bool prof = obs::profiling_enabled();
+    for (const Request& r : batch) {
+      if (prof) obs::observe("serve.queue_wait_us", us_since(r.enqueued, dequeued));
+    }
+    const auto start = Clock::now();
+    run_batch(batch, worker_index);
+    if (prof) obs::observe("serve.exec_us", us_since(start, Clock::now()));
   }
 }
 

@@ -1,9 +1,12 @@
 // Async inference server over a compiled Executor.
 //
 // Architecture: callers submit() single samples into a bounded queue;
-// N worker threads pull, assemble dynamic batches (flush on max_batch or
-// max_wait_us, whichever first), run the executor, and fulfill one
-// future per request.
+// N worker threads pull, run the executor, and fulfill one future per
+// request. Batching is work-conserving: a worker that wakes on a
+// non-empty queue takes up to max_batch of the queued requests in FIFO
+// order and runs them at once, never waiting for more arrivals. A lone
+// caller therefore pays only its own forward(), and batches form only
+// from requests that queued while every worker was busy.
 //
 // Overload & failure discipline (the serving-side analogue of the
 // offline pipeline's crash safety):
@@ -13,7 +16,8 @@
 //     Workers sweep expired requests out of the queue before batch
 //     assembly and fulfill them with DeadlineExceeded, so a stale
 //     request never wastes executor time and p99 of successes stays
-//     bounded by the deadline.
+//     bounded by the deadline. A deadline too large for the clock to
+//     represent means no deadline.
 //   * Admission control — a full queue is handled per
 //     ServerOptions::overload_policy (env SB_SERVE_OVERLOAD):
 //     Block (closed-loop backpressure, the original behavior), Reject
@@ -47,7 +51,10 @@
 //                serve.exec_failures / serve.stalls, gauges
 //                serve.queue_depth (updated on every enqueue, dequeue,
 //                and shed) and serve.breaker_state (0 closed, 1 open,
-//                2 half-open)
+//                2 half-open); histograms serve.queue_wait_us (per
+//                dispatched request, enqueue to dequeue) and serve.exec_us
+//                (per batch, staging + executor calls + fulfilment) split
+//                serve.latency_us into waiting and computing
 //   SB_TELEMETRY time series serve.queue_depth / serve.batch_size and a
 //                "serve" heartbeat block (+ top-level degraded flag)
 //
@@ -95,15 +102,15 @@ struct DeadlineExceeded : std::runtime_error {
 struct ServerOptions {
   int workers = 1;            // batch-executing threads
   size_t queue_capacity = 256;
-  int64_t max_batch = 8;      // flush when a batch reaches this size...
-  int64_t max_wait_us = 2000; // ...or when its oldest request is this old
+  int64_t max_batch = 8;      // most requests one executor call takes
 
   /// Admission policy for a full queue. Unset falls back to
   /// SB_SERVE_OVERLOAD (block|reject|drop-oldest), then Block.
   std::optional<OverloadPolicy> overload_policy;
 
   /// Deadline applied to requests submitted without an explicit one.
-  /// 0 = no deadline. Unset falls back to SB_SERVE_DEADLINE_US, then 0.
+  /// 0 = no deadline. Unset falls back to SB_SERVE_DEADLINE_US (an
+  /// integer; anything else throws std::invalid_argument), then 0.
   std::optional<int64_t> default_deadline_us;
 
   /// Consecutive primary-executor failures that trip the breaker open.

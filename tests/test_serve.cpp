@@ -1,9 +1,10 @@
 // Serving engine tests: compiler parity against the eval-mode model
 // (including the shrunk executor's compact layouts across architectures,
 // keep fractions and input sizes), NaN propagation, input rejection
-// shared with the eager layers, dynamic-batcher semantics
-// (max-wait flush, full-batch flush, lossless drain), parallel CSR matmul
-// determinism, and steady-state zero arena growth in every exec mode.
+// shared with the eager layers, batcher semantics (an idle worker
+// dispatches at once, requests queued while it is busy form one batch,
+// lossless drain), parallel CSR matmul determinism, and steady-state
+// zero arena growth in every exec mode.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -32,6 +33,8 @@
 #include "nn/pool.hpp"
 #include "nn/residual.hpp"
 #include "nn/sparse.hpp"
+#include "obs/io.hpp"
+#include "obs/profile.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
 #include "tensor/gemm.hpp"
@@ -585,51 +588,60 @@ Tensor random_sample(Rng& rng) {
   return s;
 }
 
-TEST(ServeBatcher, FullBatchFlushesWithoutWaitingForTheTimer) {
+TEST(ServeBatcher, RequestsQueuedWhileBusyFormOneBatch) {
   Rng rng(3);
   ModelPtr m = tiny_model(rng);
   const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
+  // The first batch holds the only worker for 25 ms; whatever it took,
+  // the rest of the 5 requests queue meanwhile and fit one batch of 4.
+  obs::set_fault_spec("serve.worker_stall:1");
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 4;
-  opts.max_wait_us = 10'000'000;  // 10 s: only a full batch can flush fast
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;
-  for (int i = 0; i < 4; ++i) futs.push_back(server.submit(random_sample(rng)));
+  for (int i = 0; i < 5; ++i) futs.push_back(server.submit(random_sample(rng)));
   for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
-        << "full batch did not flush before the max-wait timer";
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
     EXPECT_EQ(f.get().shape(), (Shape{4}));
   }
   server.shutdown();
+  obs::set_fault_spec("");
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.completed, 4);
+  EXPECT_EQ(st.completed, 5);
   EXPECT_EQ(st.failed, 0);
-  EXPECT_EQ(st.batches, 1);  // one full batch, not four timer flushes
+  EXPECT_EQ(st.batches, 2);  // the stalled batch, then everything queued behind it
 }
 
-TEST(ServeBatcher, MaxWaitFlushesPartialBatch) {
+TEST(ServeBatcher, IdleWorkerDispatchesALoneRequestAtOnce) {
   Rng rng(4);
   ModelPtr m = tiny_model(rng);
   const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
+  obs::set_profiling_enabled(true);
+  obs::Profiler::instance().reset();
   ServerOptions opts;
   opts.workers = 1;
-  opts.max_batch = 64;       // never reached by 3 requests...
-  opts.max_wait_us = 20'000; // ...so only the 20 ms timer can flush them
+  opts.max_batch = 64;  // never reached: nothing may wait for it to fill
   InferenceServer server(exec, opts);
-  std::vector<std::future<Tensor>> futs;
-  for (int i = 0; i < 3; ++i) futs.push_back(server.submit(random_sample(rng)));
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
-        << "partial batch never flushed on max-wait";
-    EXPECT_EQ(f.get().shape(), (Shape{4}));
+  for (int i = 0; i < 20; ++i) {
+    std::future<Tensor> fut = server.submit(random_sample(rng));
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+    EXPECT_EQ(fut.get().shape(), (Shape{4}));
   }
   // Futures are fulfilled before the worker's stats update lands, so
   // quiesce (shutdown joins the workers) before reading counters.
   server.shutdown();
+  const auto snap = obs::Profiler::instance().snapshot();
+  obs::Profiler::instance().reset();
+  obs::set_profiling_enabled(false);
   const ServerStats st = server.stats();
-  EXPECT_EQ(st.completed, 3);
-  EXPECT_EQ(st.failed, 0);
+  EXPECT_EQ(st.completed, 20);
+  EXPECT_EQ(st.batches, 20);  // sequential requests: each one its own batch
+  // A tiny linear forward takes microseconds; a batcher that waited for
+  // company would put the median at its timer instead.
+  EXPECT_LT(snap.histograms.at("serve.latency_us").p50, 1000.0);
+  EXPECT_EQ(snap.histograms.at("serve.queue_wait_us").count, 20);
+  EXPECT_EQ(snap.histograms.at("serve.exec_us").count, 20);
 }
 
 TEST(ServeBatcher, DrainOnShutdownLosesZeroRequests) {
@@ -639,7 +651,6 @@ TEST(ServeBatcher, DrainOnShutdownLosesZeroRequests) {
   ServerOptions opts;
   opts.workers = 2;
   opts.max_batch = 3;
-  opts.max_wait_us = 60'000'000;  // 60 s: a lossy drain would visibly hang
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;
   for (int i = 0; i < 40; ++i) futs.push_back(server.submit(random_sample(rng)));

@@ -10,7 +10,8 @@
 // at-most-once proof; the submitted == completed + failed accounting
 // closes the at-least-once side.
 //
-// Also covered here: in-queue deadline expiry, circuit breaker
+// Also covered here: in-queue deadline expiry (and a deadline past the
+// clock's range meaning none), SB_SERVE_* env parsing, circuit breaker
 // trip -> fallback -> half-open probe -> close, the watchdog stall path
 // (including the degraded heartbeat mark and its recovery), the
 // serve.queue_depth gauge regression (must return to 0 after a drain),
@@ -25,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -129,7 +131,6 @@ TEST_F(ServeChaos, ExactlyOnceUnderEveryFaultAndPolicy) {
       opts.workers = 1;
       opts.queue_capacity = 4;  // small: Reject/DropOldest actually engage
       opts.max_batch = 4;
-      opts.max_wait_us = 500;
       opts.overload_policy = policy;
       opts.breaker_threshold = 0;  // isolate the policy from breaker routing
       opts.check_finite = fault.check_finite;
@@ -172,7 +173,6 @@ TEST_F(ServeChaos, DrainLosesZeroMidFault) {
   ServerOptions opts;
   opts.workers = 2;
   opts.max_batch = 4;
-  opts.max_wait_us = 60'000'000;  // drain must flush without the timer
   opts.breaker_threshold = 0;
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;
@@ -197,7 +197,6 @@ TEST_F(ServeChaos, DeadlineExpiresInQueueBeforeBatchAssembly) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;  // one request per batch: the backlog really queues
-  opts.max_wait_us = 100;
   InferenceServer server(exec, opts);
 
   // First request occupies the worker; the rest wait in-queue longer than
@@ -227,7 +226,6 @@ TEST_F(ServeChaos, DefaultDeadlineAppliesAndPerSubmitZeroOverrides) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.default_deadline_us = 1000;  // every request inherits 1 ms...
   InferenceServer server(exec, opts);
   EXPECT_EQ(server.default_deadline_us(), 1000);
@@ -242,6 +240,22 @@ TEST_F(ServeChaos, DefaultDeadlineAppliesAndPerSubmitZeroOverrides) {
   EXPECT_NO_THROW(exempt.get());  // ...but an explicit 0 opts out
 }
 
+TEST_F(ServeChaos, DeadlineBeyondTheClockMeansNoDeadline) {
+  Rng rng(33);
+  ModelPtr m = tiny_model(rng);
+  const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
+  ServerOptions opts;
+  opts.workers = 1;
+  InferenceServer server(exec, opts);
+  // enqueued + INT64_MAX us overflows the clock; it must saturate to "no
+  // deadline" rather than wrap into the past and expire on arrival.
+  EXPECT_NO_THROW(server.submit(random_sample(rng), INT64_MAX).get());
+  server.shutdown();
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.completed, 1);
+  EXPECT_EQ(st.deadline_exceeded, 0);
+}
+
 // ---- admission policies ----
 
 TEST_F(ServeChaos, RejectPolicyFailsFastWithOverloaded) {
@@ -253,7 +267,6 @@ TEST_F(ServeChaos, RejectPolicyFailsFastWithOverloaded) {
   opts.workers = 1;
   opts.queue_capacity = 2;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.overload_policy = OverloadPolicy::Reject;
   InferenceServer server(exec, opts);
 
@@ -285,7 +298,6 @@ TEST_F(ServeChaos, DropOldestShedsStalestAndDrainNeverSheds) {
   opts.workers = 1;
   opts.queue_capacity = 2;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.overload_policy = OverloadPolicy::DropOldest;
   InferenceServer server(exec, opts);
 
@@ -344,6 +356,18 @@ TEST_F(ServeChaos, PolicyNamesRoundTripAndEnvIsHonored) {
   ::unsetenv("SB_SERVE_DEADLINE_US");
 }
 
+TEST_F(ServeChaos, MalformedDeadlineEnvIsRejected) {
+  Rng rng(35);
+  ModelPtr m = tiny_model(rng);
+  const serve::Executor exec = serve::compile(*m, {8}, ExecMode::Dense);
+  for (const char* bad : {"abc", "100us", "1.5"}) {
+    ::setenv("SB_SERVE_DEADLINE_US", bad, 1);
+    EXPECT_THROW({ InferenceServer server(exec, ServerOptions{}); }, std::invalid_argument)
+        << bad;
+  }
+  ::unsetenv("SB_SERVE_DEADLINE_US");
+}
+
 // ---- circuit breaker ----
 
 TEST_F(ServeChaos, BreakerTripsRoutesToFallbackAndProbesClosed) {
@@ -356,7 +380,6 @@ TEST_F(ServeChaos, BreakerTripsRoutesToFallbackAndProbesClosed) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.breaker_threshold = 2;
   opts.breaker_probe_every = 2;
   opts.fallback = &fallback;
@@ -393,7 +416,6 @@ TEST_F(ServeChaos, BreakerOpenWithoutFallbackFailsFast) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.breaker_threshold = 1;
   opts.breaker_probe_every = 1000;  // no probe within this test
   InferenceServer server(exec, opts);
@@ -418,7 +440,6 @@ TEST_F(ServeChaos, CheckFiniteTurnsNanIntoBreakerFailure) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.breaker_threshold = 1;
   opts.check_finite = true;
   opts.fallback = &fallback;
@@ -448,7 +469,6 @@ TEST_F(ServeChaos, WatchdogFlagsStallFailsBatchAndRecovers) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.stall_timeout_ms = 5;
   InferenceServer server(exec, opts);
 
@@ -499,7 +519,6 @@ TEST_F(ServeChaos, QueueDepthGaugeReturnsToZeroAfterDrain) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 2;
-  opts.max_wait_us = 100;
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;
   for (int i = 0; i < 8; ++i) futs.push_back(server.submit(random_sample(rng)));
@@ -526,7 +545,6 @@ TEST_F(ServeChaos, FailedRequestsLandInRequestsCounterAndLatencyHistogram) {
   ServerOptions opts;
   opts.workers = 1;
   opts.max_batch = 4;
-  opts.max_wait_us = 60'000'000;  // one drain-flushed batch of 4
   opts.breaker_threshold = 0;
   InferenceServer server(exec, opts);
   std::vector<std::future<Tensor>> futs;
@@ -552,7 +570,6 @@ TEST_F(ServeChaos, BlockedSubmitWakesAndRejectsOnShutdown) {
   opts.workers = 1;
   opts.queue_capacity = 1;
   opts.max_batch = 1;
-  opts.max_wait_us = 100;
   opts.overload_policy = OverloadPolicy::Block;
   InferenceServer server(exec, opts);
 
