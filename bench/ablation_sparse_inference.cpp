@@ -19,6 +19,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "serve/executor.hpp"
+#include "tensor/ops.hpp"
 
 using namespace shrinkbench;
 
@@ -32,12 +33,18 @@ double time_seconds(const std::function<void()>& fn, int reps) {
          reps;
 }
 
-void apply_sparsity(Parameter& p, double sparsity, Rng& rng) {
+// Masks `initial` at the given sparsity into p and returns the realised
+// weight density. Every level starts from the same initial weights:
+// apply_mask zeroes data for good, so masking the previous level's
+// weights would compound the sparsities.
+double apply_sparsity(Parameter& p, const Tensor& initial, double sparsity, Rng& rng) {
+  p.data = initial;
   p.mask.fill(1.0f);
   for (float& v : p.mask.flat()) {
     if (rng.uniform() < sparsity) v = 0.0f;
   }
   p.apply_mask();
+  return static_cast<double>(ops::count_nonzero(p.data)) / static_cast<double>(p.numel());
 }
 
 // Sweeps the weight of a one-layer model over the sparsity levels,
@@ -45,20 +52,21 @@ void apply_sparsity(Parameter& p, double sparsity, Rng& rng) {
 // kernels) at each, and prints a table plus appends CSV rows.
 void sweep(const std::string& kernel, Sequential& model, Parameter& weight, const Shape& sample,
            const Tensor& x, int reps, Rng& rng, std::vector<std::vector<std::string>>& csv) {
-  report::Table table({kernel + " sparsity", "theoretical speedup", "dense ms", "sparse ms",
-                       "wall-clock speedup"});
+  report::Table table({kernel + " sparsity", "weight density", "theoretical speedup", "dense ms",
+                       "sparse ms", "wall-clock speedup"});
+  const Tensor initial = weight.data;
   for (const double sparsity : {0.0, 0.5, 0.75, 0.9, 0.97, 0.99}) {
-    apply_sparsity(weight, sparsity, rng);
+    const double density = apply_sparsity(weight, initial, sparsity, rng);
     const serve::Executor dense = serve::compile(model, sample, serve::ExecMode::Dense);
     const serve::Executor sparse = serve::compile(model, sample, serve::ExecMode::Csr);
     const double dense_time = time_seconds([&] { dense.forward(x); }, reps);
     const double sparse_time = time_seconds([&] { sparse.forward(x); }, reps);
-    const double theoretical = 1.0 / std::max(1e-9, 1.0 - sparsity);
+    const double theoretical = 1.0 / std::max(1e-9, density);  // dense / effective MACs
     const double wallclock = dense_time / sparse_time;
-    table.add_row({report::Table::num(sparsity, 2), report::Table::num(theoretical, 1),
-                   report::Table::num(dense_time * 1e3, 3),
+    table.add_row({report::Table::num(sparsity, 2), report::Table::num(density, 4),
+                   report::Table::num(theoretical, 1), report::Table::num(dense_time * 1e3, 3),
                    report::Table::num(sparse_time * 1e3, 3), report::Table::num(wallclock, 2)});
-    csv.push_back({model.name(), report::Table::num(sparsity, 2),
+    csv.push_back({model.name(), report::Table::num(sparsity, 2), report::Table::num(density, 4),
                    report::Table::num(theoretical, 2), report::Table::num(wallclock, 3)});
   }
   std::printf("%s\n", table.render().c_str());
@@ -73,7 +81,7 @@ int main(int argc, char** argv) {
   Rng rng(1);
   const int reps = args.full ? 60 : 25;
   std::vector<std::vector<std::string>> csv{
-      {"kernel", "sparsity", "theoretical_speedup", "wallclock_speedup"}};
+      {"kernel", "sparsity", "weight_density", "theoretical_speedup", "wallclock_speedup"}};
 
   // Conv: 32->32 channels, 3x3, 12x12 maps, batch 32 — a mid-size layer.
   {

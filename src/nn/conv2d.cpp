@@ -12,12 +12,6 @@ namespace shrinkbench {
 
 namespace {
 
-// Floor on output channels per fused-grid tile: below this the per-tile
-// GEMM degenerates to a few kernel rows and the restaged im2col columns
-// dominate. Only reached at batch sizes below the pool width, where the
-// channel axis is the only parallelism left.
-constexpr int64_t kMinOcPerTile = 4;
-
 // Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow],
 // so a whole minibatch becomes one GEMM operand.
 void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spatial, float* cm) {
@@ -29,6 +23,70 @@ void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spati
       }
     }
   });
+}
+
+// Byte budget of one staged column block: sized to sit in a core's L2
+// next to the GEMM's pack buffers, so the product reads the columns
+// from cache rather than from memory.
+constexpr int64_t kConvStageBytes = int64_t{256} << 10;
+
+// conv2d_eval's staging: walks samples [s.lo, s.hi) of x in consecutive
+// blocks whose column matrix fits kConvStageBytes (at least one sample
+// per block), lowers each block with im2col into the calling thread's
+// arena as [g.col_rows(), ld], ld = (b.hi - b.lo) * g.col_cols(), and
+// calls fn(b, cols, ld) while the block is cache-hot. A block only
+// narrows the product's column range — no reduction is split — so every
+// block size gives the same bits. A geometry with no column rows stages
+// the range as one block.
+template <typename Fn>
+void for_each_stage_block(const Tensor& x, const ConvGeometry& g, Grid2d::Range s, Fn&& fn) {
+  const int64_t spatial = g.col_cols();
+  const int64_t col_rows = g.col_rows();
+  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
+  const int64_t sample_bytes = col_rows * spatial * static_cast<int64_t>(sizeof(float));
+  const int64_t block = sample_bytes == 0
+                            ? std::max<int64_t>(s.hi - s.lo, 1)
+                            : std::max<int64_t>(kConvStageBytes / sample_bytes, 1);
+  Workspace& ws = Workspace::tls();
+  for (int64_t lo = s.lo; lo < s.hi; lo += block) {
+    const Grid2d::Range b{lo, std::min(s.hi, lo + block)};
+    const int64_t ld = (b.hi - b.lo) * spatial;
+    Workspace::Scope stage;  // LIFO: reclaimed before the next block
+    float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
+    parallel_for(b.lo, b.hi, work_grain(col_rows * spatial), [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        im2col_ld(g, x.data() + i * image_numel, cols + (i - b.lo) * spatial, ld);
+      }
+    });
+    fn(b, cols, ld);
+  }
+}
+
+// Conv epilogue: writes the y[i, c] planes (y is [N, out_c, spatial])
+// for the given samples and channels from a channel-major product `cm`,
+// in which channel c of sample i starts at
+// cm + (c - channels.lo) * ld + (i - samples.lo) * spatial, adding bias
+// and then, when relu is set, mapping v < 0 to 0 as relu_inplace does.
+void conv_epilogue(const float* cm, int64_t ld, Grid2d::Range samples, Grid2d::Range channels,
+                   int64_t out_c, int64_t spatial, ConvBias bias, bool relu, float* y) {
+  for (int64_t c = channels.lo; c < channels.hi; ++c) {
+    const float* plane = bias.per_position ? bias.data + c * spatial : nullptr;
+    for (int64_t i = samples.lo; i < samples.hi; ++i) {
+      const float* src = cm + (c - channels.lo) * ld + (i - samples.lo) * spatial;
+      float* dst = y + (i * out_c + c) * spatial;
+      if (bias.data == nullptr) {
+        std::copy(src, src + spatial, dst);
+      } else if (plane != nullptr) {
+        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + plane[sp];
+      } else {
+        const float b = bias.data[c];
+        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
+      }
+      if (relu) {
+        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = dst[sp] < 0.0f ? 0.0f : dst[sp];
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -56,7 +114,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const ConvGeometry g = conv_geometry(name(), x, in_c_, kernel_, stride_, pad_);
   if (train) cached_input_ = x;
   return conv2d_eval(x, g, weight_.data.data(), out_c_,
-                     {has_bias_ ? bias_.data.data() : nullptr});
+                     {has_bias_ ? bias_.data.data() : nullptr}, /*relu=*/false);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
@@ -196,27 +254,8 @@ ConvGeometry conv_geometry(const std::string& who, const Tensor& x, int64_t in_c
   return g;
 }
 
-void conv_epilogue(const float* cm, int64_t ld, Grid2d::Range samples, Grid2d::Range channels,
-                   int64_t out_c, int64_t spatial, ConvBias bias, float* y) {
-  for (int64_t c = channels.lo; c < channels.hi; ++c) {
-    const float* plane = bias.per_position ? bias.data + c * spatial : nullptr;
-    for (int64_t i = samples.lo; i < samples.hi; ++i) {
-      const float* src = cm + (c - channels.lo) * ld + (i - samples.lo) * spatial;
-      float* dst = y + (i * out_c + c) * spatial;
-      if (bias.data == nullptr) {
-        std::copy(src, src + spatial, dst);
-      } else if (plane != nullptr) {
-        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + plane[sp];
-      } else {
-        const float b = bias.data[c];
-        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
-      }
-    }
-  }
-}
-
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
-                   ConvBias bias) {
+                   ConvBias bias, bool relu) {
   const int64_t n = x.size(0);
   const int64_t spatial = g.col_cols();
   const int64_t col_rows = g.col_rows();
@@ -246,7 +285,7 @@ Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, 
           float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * ld));
           gemm(false, false, cr.hi - cr.lo, ld, col_rows, 1.0f, weight + cr.lo * col_rows,
                col_rows, cols, ld, 0.0f, out_cm, ld);
-          conv_epilogue(out_cm, ld, b, cr, out_c, spatial, bias, y.data());
+          conv_epilogue(out_cm, ld, b, cr, out_c, spatial, bias, relu, y.data());
         }
       });
       t = row_end;

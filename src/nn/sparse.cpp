@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -68,23 +69,209 @@ Tensor csr_to_dense(const CsrMatrix& csr) {
   return dense;
 }
 
+namespace {
+
+// GCC vector extensions: one register-tile row of 16 output columns, or
+// 8 when the output rows are at most 8 wide. Arithmetic on them compiles
+// to the same (fused) multiply-adds as csr_matmul's scalar loop.
+using Vec16 = float __attribute__((vector_size(64)));
+using Vec8 = float __attribute__((vector_size(32)));
+
+// Output rows per register tile: enough independent accumulators to hide
+// the multiply-add latency without spilling — eight one-register rows
+// with 512-bit vectors, four two-register rows without.
+#if defined(__AVX512F__)
+constexpr int kTileRows = 8;
+#else
+constexpr int kTileRows = 4;
+#endif
+
+// The direct conv's per-sample input: for each input channel and each
+// (kh mod s, kw mod s) phase a kernel tap can take, the zero-bordered
+// image sampled at stride s. Tap (c, kh, kw) under output (oy, ox) reads
+// element (oy + kh/s, ox + kw/s) of phase plane (c, kh mod s, kw mod s),
+// so every tap reads a contiguous run along ox at any stride, and a
+// padding tap reads a stored zero, as im2col's zero entries.
+struct PhasePlanes {
+  int64_t phases_h, phases_w;  // min(stride, kernel) per axis
+  int64_t rows, cols;          // phase-plane extent
+  int64_t plane;               // rows * cols
+
+  explicit PhasePlanes(const ConvGeometry& g)
+      : phases_h(std::min(g.stride, g.kernel_h)),
+        phases_w(std::min(g.stride, g.kernel_w)),
+        rows(g.out_h() + (g.kernel_h - 1) / g.stride),
+        cols(g.out_w() + (g.kernel_w - 1) / g.stride),
+        plane(rows * cols) {}
+
+  int64_t floats(const ConvGeometry& g) const { return g.in_c * phases_h * phases_w * plane; }
+
+  // offset[row]: where column-matrix row `row` = (c, kh, kw) reads output
+  // (0, 0), for every row of g's column matrix.
+  void offsets(const ConvGeometry& g, int64_t* offset) const {
+    const int64_t s = g.stride;
+    for (int64_t c = 0; c < g.in_c; ++c) {
+      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+          *offset++ = ((c * phases_h + kh % s) * phases_w + kw % s) * plane + (kh / s) * cols +
+                      kw / s;
+        }
+      }
+    }
+  }
+
+  // Writes the phase planes of one [in_c, in_h, in_w] image.
+  void stage(const ConvGeometry& g, const float* image, float* dst) const {
+    const int64_t s = g.stride;
+    for (int64_t c = 0; c < g.in_c; ++c) {
+      const float* chan = image + c * g.in_h * g.in_w;
+      for (int64_t py = 0; py < phases_h; ++py) {
+        for (int64_t px = 0; px < phases_w; ++px, dst += plane) {
+          // Phase columns [lo, hi) land inside the image: xx * s + px - pad
+          // in [0, in_w).
+          const int64_t first = px - g.pad;
+          const int64_t lo = std::min(cols, first >= 0 ? 0 : (s - 1 - first) / s);
+          const int64_t last = g.in_w - 1 - first;
+          const int64_t hi = std::max(lo, last < 0 ? 0 : std::min(cols, last / s + 1));
+          for (int64_t yy = 0; yy < rows; ++yy) {
+            float* d = dst + yy * cols;
+            const int64_t iy = yy * s + py - g.pad;
+            if (iy < 0 || iy >= g.in_h) {
+              std::fill(d, d + cols, 0.0f);
+              continue;
+            }
+            const float* row = chan + iy * g.in_w;
+            std::fill(d, d + lo, 0.0f);
+            if (s == 1) {
+              std::copy(row + lo + first, row + hi + first, d + lo);
+            } else {
+              for (int64_t xx = lo; xx < hi; ++xx) d[xx] = row[xx * s + first];
+            }
+            std::fill(d + hi, d + cols, 0.0f);
+          }
+        }
+      }
+    }
+  }
+};
+
+// One output row's taps: their staged offsets and values.
+struct Taps {
+  const int64_t* offset;
+  const float* value;
+  int64_t count;
+};
+
+// One register tile: R output rows × one vector of columns of an output
+// plane (row pitch ow) from the staged sample at `src` (the tile's first
+// row and column; row pitch `pitch`). Each element starts at +0.0 and
+// adds its taps in ascending CSR entry order — csr_matmul's arithmetic —
+// then the bias and the ReLU. Only the first `width` columns are stored.
+template <typename V, int R>
+inline void direct_tile(const float* src, int64_t pitch, Taps taps, const float* bias, bool relu,
+                        float* out, int64_t ow, int64_t width) {
+  V acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = V{};
+  for (int64_t e = 0; e < taps.count; ++e) {
+    const float* p = src + taps.offset[e];
+    const float v = taps.value[e];
+    for (int r = 0; r < R; ++r) {
+      V x;
+      std::memcpy(&x, p + r * pitch, sizeof(V));
+      acc[r] += x * v;
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    V y = acc[r];
+    if (bias != nullptr) y += *bias;
+    if (relu) y = y < V{} ? V{} : y;
+    if (width == static_cast<int64_t>(sizeof(V) / sizeof(float))) {
+      std::memcpy(out + r * ow, &y, sizeof(V));
+    } else {
+      for (int64_t j = 0; j < width; ++j) out[r * ow + j] = y[j];
+    }
+  }
+}
+
+// Output rows [y0, oh) of one column strip: tiles of R rows, then at most
+// one tile each of R/2, R/4, ... rows for the remainder.
+template <typename V, int R>
+void direct_rows(const float* src, int64_t pitch, Taps taps, const float* bias, bool relu,
+                 float* out, int64_t ow, int64_t width, int64_t y0, int64_t oh) {
+  for (; y0 + R <= oh; y0 += R) {
+    direct_tile<V, R>(src + y0 * pitch, pitch, taps, bias, relu, out + y0 * ow, ow, width);
+  }
+  if constexpr (R > 1) direct_rows<V, R / 2>(src, pitch, taps, bias, relu, out, ow, width, y0, oh);
+}
+
+// Output plane [oh, ow] of one CSR row over the staged sample `stage`.
+template <typename V>
+void direct_plane(const float* stage, int64_t pitch, Taps taps, const float* bias, bool relu,
+                  int64_t oh, int64_t ow, float* out) {
+  constexpr int64_t kW = sizeof(V) / sizeof(float);
+  for (int64_t x0 = 0; x0 < ow; x0 += kW) {
+    direct_rows<V, kTileRows>(stage + x0, pitch, taps, bias, relu, out + x0, ow,
+                              std::min(kW, ow - x0), 0, oh);
+  }
+}
+
+}  // namespace
+
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
-                       const float* bias) {
-  const int64_t out_c = w.rows;
-  const int64_t spatial = g.col_cols();
-  Tensor y({x.size(0), out_c, g.out_h(), g.out_w()});
-  // Scratch lives in the thread-local arena: after warm-up, steady-state
-  // forwards perform zero heap allocations.
-  Workspace& ws = Workspace::tls();
-  for_each_stage_block(x, g, {0, x.size(0)}, [&](Grid2d::Range b, const float* cols,
-                                                 int64_t ld) {
-    Workspace::Scope out_scope;
-    float* out_cm = ws.floats(static_cast<size_t>(out_c * ld));
-    csr_matmul(w, cols, ld, out_cm);
-    parallel_for(b.lo, b.hi, work_grain(out_c * spatial), [&](int64_t n0, int64_t n1) {
-      conv_epilogue(out_cm + (n0 - b.lo) * spatial, ld, {n0, n1}, {0, out_c}, out_c, spatial,
-                    {bias}, y.data());
-    });
+                       const float* bias, bool relu) {
+  const int64_t n = x.size(0), out_c = w.rows;
+  const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
+  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
+  Tensor y({n, out_c, oh, ow});
+  const PhasePlanes pp(g);
+  // Scratch lives in the thread-local arenas: after warm-up, steady-state
+  // forwards perform zero heap allocations. Entries decode to their
+  // staged offsets once per call, through a table over the column rows.
+  Workspace::Scope scope;
+  int64_t* off = static_cast<int64_t*>(Workspace::tls().get(
+      static_cast<size_t>(g.col_rows() + w.nnz()) * sizeof(int64_t)));
+  int64_t* row_offset = off + w.nnz();
+  pp.offsets(g, row_offset);
+  for (int64_t e = 0; e < w.nnz(); ++e) off[e] = row_offset[w.col_idx[static_cast<size_t>(e)]];
+  // A row's last vector may read past the staged planes' end; the slack
+  // keeps those (never stored) lanes inside the allocation.
+  const int64_t stage_floats = pp.floats(g) + static_cast<int64_t>(sizeof(Vec16) / sizeof(float));
+  const bool narrow = ow <= static_cast<int64_t>(sizeof(Vec8) / sizeof(float));
+  // Fused (sample × out-channel-tile) grid, as conv2d_eval's: every
+  // output plane is computed whole by one tile, so y is bit-identical at
+  // every thread count.
+  const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
+  parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
+    Workspace::Scope tile_scope;
+    float* stage = Workspace::tls().floats(static_cast<size_t>(stage_floats));
+    std::fill(stage + pp.floats(g), stage + stage_floats, 0.0f);
+    int64_t t = t_lo;
+    while (t < t_hi) {
+      // Tile ids are channel-fastest: stage each sample of the range once
+      // for every channel tile this chunk owns in the row.
+      const int64_t i0 = grid.tile0(t);
+      const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
+      const Grid2d::Range s = grid.range0(i0);
+      for (int64_t i = s.lo; i < s.hi; ++i) {
+        pp.stage(g, x.data() + i * image_numel, stage);
+        for (int64_t u = t; u < row_end; ++u) {
+          const Grid2d::Range cr = grid.range1(grid.tile1(u));
+          for (int64_t o = cr.lo; o < cr.hi; ++o) {
+            const int64_t begin = w.row_ptr[static_cast<size_t>(o)];
+            const Taps taps{off + begin, w.values.data() + begin,
+                            w.row_ptr[static_cast<size_t>(o) + 1] - begin};
+            const float* b = bias != nullptr ? bias + o : nullptr;
+            float* out = y.data() + (i * out_c + o) * spatial;
+            if (narrow) {
+              direct_plane<Vec8>(stage, pp.cols, taps, b, relu, oh, ow, out);
+            } else {
+              direct_plane<Vec16>(stage, pp.cols, taps, b, relu, oh, ow, out);
+            }
+          }
+        }
+      }
+      t = row_end;
+    }
   });
   return y;
 }

@@ -5,12 +5,13 @@
 // parameter and FLOP counts are proxies, not wall-clock. This module holds
 // the CSR half of the eval lowering: the CSR matrix, its matmul, and the
 // CSR conv and linear kernels that the serving executor's Csr mode runs
-// (serve/executor.hpp). The CSR conv shares the dense one's epilogue
-// (conv_epilogue), so it differs from its dense twin only in the matrix
-// product. bench/ablation_sparse_inference times one-layer Csr executors
-// against Dense ones to locate the sparsity where sparse execution
-// actually overtakes the dense kernels (typically far above the 50-75% a
-// "2-4x compression" headline suggests).
+// (serve/executor.hpp). The CSR conv is a direct convolution: it reads
+// its input planes in place of an im2col matrix, so no dense-sized copy
+// precedes the sparse work, and it applies its bias and a fused ReLU in
+// registers. bench/ablation_sparse_inference times one-layer Csr
+// executors against Dense ones to locate the sparsity where sparse
+// execution actually overtakes the dense kernels, and how far its
+// wall-clock speedup stays below the theoretical one.
 //
 // Inference-only: backward is intentionally unsupported.
 #pragma once
@@ -52,13 +53,19 @@ void csr_matmul(const CsrMatrix& csr, const float* dense_in, int64_t n, float* d
 Tensor csr_to_dense(const CsrMatrix& csr);
 
 /// CSR eval convolution of x ([N, in_c, H, W], geometry g) with weight
-/// w [out_c, g.col_rows()]: for each cache-sized sample block
-/// (for_each_stage_block), one csr_matmul (which already fans out over its
-/// rows, so batch 1 saturates the pool without the fused grid) and
-/// conv_epilogue with a per-channel bias (nullptr: none). Returns
+/// w [out_c, g.col_rows()], computed directly from the input: each
+/// nonzero (o, c, kh, kw) adds its value times the shifted input plane c
+/// into output plane o, read from a zero-bordered copy of the sample, so
+/// no column matrix is built. Each output element starts at +0.0 and adds
+/// its taps in ascending CSR entry order (csr_matmul's order, with
+/// im2col's zeros under padding taps: NaN/Inf weights poison the borders
+/// as the column formulation does), then the per-channel bias (nullptr:
+/// none) and, when relu is set, relu_inplace's v < 0 -> 0. The work fans
+/// out over a (sample × out-channel-tile) grid, so batch 1 also splits;
+/// the output is bit-identical at every thread count. Returns
 /// [N, out_c, oh, ow].
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
-                       const float* bias);
+                       const float* bias, bool relu);
 
 /// CSR eval fully-connected layer: y = x W^T + bias for x [N, w.cols]
 /// (bias == nullptr: none). Returns [N, w.rows].

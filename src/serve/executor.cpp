@@ -22,9 +22,11 @@ namespace shrinkbench::serve {
 
 namespace {
 
+// The first op reads the caller's tensor; only an empty op list copies it.
 Tensor run_ops(const std::vector<Op>& ops, const Tensor& x) {
-  Tensor h = x;
-  for (const Op& op : ops) h = op(h);
+  if (ops.empty()) return x;
+  Tensor h = ops.front()(x);
+  for (size_t i = 1; i < ops.size(); ++i) h = ops[i](h);
   return h;
 }
 
@@ -205,12 +207,20 @@ class Compiler {
     for (size_t i = 0; i < kids.size(); ++i) {
       Layer* layer = kids[i];
       if (auto* conv = dynamic_cast<Conv2d*>(layer)) {
+        // Csr and Shrunk fold a following BN into the conv, then a ReLU
+        // right after it into the conv's epilogue.
         BatchNorm2d* bn = nullptr;
-        if (mode_ != ExecMode::Dense && i + 1 < kids.size()) {
-          bn = dynamic_cast<BatchNorm2d*>(kids[i + 1]);
+        bool relu = false;
+        if (mode_ != ExecMode::Dense) {
+          if (i + 1 < kids.size() && (bn = dynamic_cast<BatchNorm2d*>(kids[i + 1])) != nullptr) {
+            ++i;
+          }
+          if (i + 1 < kids.size() && dynamic_cast<ReLU*>(kids[i + 1]) != nullptr) {
+            relu = true;
+            ++i;
+          }
         }
-        in = conv_op(*conv, bn, in, ops);
-        if (bn != nullptr) ++i;  // consumed by the fold
+        in = conv_op(*conv, bn, relu, in, ops);
       } else if (auto* linear = dynamic_cast<Linear*>(layer)) {
         in = linear_op(*linear, in, ops);
       } else if (auto* bn = dynamic_cast<BatchNorm2d*>(layer)) {
@@ -247,7 +257,8 @@ class Compiler {
   }
 
  private:
-  Layout conv_op(Conv2d& conv, BatchNorm2d* bn, const Layout& in, std::vector<Op>& ops) {
+  Layout conv_op(Conv2d& conv, BatchNorm2d* bn, bool relu, const Layout& in,
+                 std::vector<Op>& ops) {
     const int64_t oc = conv.out_channels(), kk = conv.kernel() * conv.kernel();
     const int64_t col_rows = conv.in_channels() * kk;
     Tensor w = conv.weight().data.clone().reshaped({oc, col_rows});
@@ -272,17 +283,20 @@ class Compiler {
     // Without padding every tap lands inside the image, so a dead input's
     // term is the same at every position and folds into the bias.
     Lowered l = lower(w, std::move(b), in, kk, /*uniform=*/conv.padding() == 0);
+    if (relu) {
+      for (float& v : l.out.value) v = relu_of(v);  // live channels' entries are 0
+    }
     ops.push_back([p = std::move(l.weights), border = std::move(l.border), who = conv.name(),
                    in_c = static_cast<int64_t>(in.live().size()), k = conv.kernel(),
-                   s = conv.stride(), pad = conv.padding(),
-                   csr = mode_ == ExecMode::Csr](const Tensor& x) {
+                   s = conv.stride(), pad = conv.padding(), csr = mode_ == ExecMode::Csr,
+                   relu](const Tensor& x) {
       const ConvGeometry g = conv_geometry(who, x, in_c, k, s, pad);
-      if (csr) return conv2d_csr_eval(x, g, p.csr, p.b());
-      if (border.empty()) return conv2d_eval(x, g, p.dense.data(), p.rows(), {p.b()});
+      if (csr) return conv2d_csr_eval(x, g, p.csr, p.b(), relu);
+      if (border.empty()) return conv2d_eval(x, g, p.dense.data(), p.rows(), {p.b()}, relu);
       Workspace::Scope scope;
       float* plane = Workspace::tls().floats(static_cast<size_t>(p.rows() * g.col_cols()));
       border_bias(g, border.data(), p.b(), p.rows(), plane);
-      return conv2d_eval(x, g, p.dense.data(), p.rows(), {plane, /*per_position=*/true});
+      return conv2d_eval(x, g, p.dense.data(), p.rows(), {plane, /*per_position=*/true}, relu);
     });
     return std::move(l.out);
   }

@@ -8,7 +8,7 @@
 //           denominator of measured speedup.
 //   Csr     unstructured sparsity: effective weights (data ⊙ mask)
 //           compiled to CSR; batch norm is folded into the preceding conv
-//           so the sparse matmul is the only per-layer matrix work.
+//           so the direct sparse conv is the only per-layer conv work.
 //   Shrunk  channel sparsity: BN folded, and activations are compact —
 //           each holds only its live channels. The compiler propagates
 //           a channel layout from input to output: every logical channel
@@ -29,7 +29,15 @@
 // folded constants) plus a call into the same nn kernel the eager layer's
 // forward(x, /*train=*/false) runs: conv2d_eval and linear_eval for Dense
 // and Shrunk, conv2d_csr_eval and linear_csr_eval (nn/sparse) for Csr,
-// and the BN, ReLU and pool kernels for every mode. The residual join is
+// and the BN, ReLU and pool kernels for every mode.
+//
+// Fusion rule: in Csr and Shrunk, a BatchNorm2d directly after a conv
+// folds into its weights and bias, and a ReLU directly after the conv
+// (after that fold) runs in the conv's epilogue — relu_inplace's v < 0 ->
+// 0 test on the finished sum, so the bits equal the standalone op's —
+// and maps the output layout's dead-channel constants through ReLU as
+// the standalone op does. Dense fuses nothing: it keeps its standalone
+// BN and ReLU. The residual join is
 // the executor's own: it adds the shortcut's channels into the union
 // layout, which in Dense and Csr is an elementwise add, as in eager.
 // Dense and Csr activations are all live, so the Dense executor matches

@@ -3,8 +3,10 @@
 // keep fractions and input sizes), NaN propagation, input rejection
 // shared with the eager layers, batcher semantics (an idle worker
 // dispatches at once, requests queued while it is busy form one batch,
-// lossless drain), parallel CSR matmul determinism, and steady-state
-// zero arena growth in every exec mode.
+// lossless drain), parallel CSR matmul determinism, steady-state zero
+// arena growth in every exec mode, and the conv lowerings against their
+// column formulations (patch rows, backward, blocked eval, the direct
+// CSR conv) plus the fused conv + ReLU epilogues.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -12,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,6 +30,7 @@
 #include "core/pruner.hpp"
 #include "core/scoring.hpp"
 #include "models/zoo.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "nn/layer.hpp"
@@ -567,9 +572,141 @@ TEST(ConvLowering, BlockedForwardBitMatchesPerSampleForwards) {
         x,
         [&](const Tensor& in) {
           const ConvGeometry g = conv_geometry("c", in, in_c, 3, 1, 1);
-          return conv2d_eval(in, g, conv.weight().data.data(), 6, {conv.bias()->data.data()});
+          return conv2d_eval(in, g, conv.weight().data.data(), 6, {conv.bias()->data.data()},
+                             /*relu=*/false);
         },
         "conv2d_eval, in_c " + std::to_string(in_c));
+  }
+}
+
+// The column formulation of the CSR conv, one sample at a time: im2col,
+// csr_matmul and the bias add — the arithmetic, in the order, that the
+// direct kernel must reproduce.
+Tensor column_csr_conv(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
+                       const float* bias) {
+  const int64_t n = x.size(0), spatial = g.col_cols();
+  const int64_t image = g.in_c * g.in_h * g.in_w;
+  std::vector<float> cols(static_cast<size_t>(g.col_rows() * spatial));
+  std::vector<float> prod(static_cast<size_t>(w.rows * spatial));
+  Tensor y({n, w.rows, g.out_h(), g.out_w()});
+  for (int64_t i = 0; i < n; ++i) {
+    im2col_ld(g, x.data() + i * image, cols.data(), spatial);
+    csr_matmul(w, cols.data(), spatial, prod.data());
+    for (int64_t o = 0; o < w.rows; ++o) {
+      float* dst = y.data() + (i * w.rows + o) * spatial;
+      for (int64_t sp = 0; sp < spatial; ++sp) {
+        const float v = prod[static_cast<size_t>(o * spatial + sp)];
+        dst[sp] = bias != nullptr ? v + bias[o] : v;
+      }
+    }
+  }
+  return y;
+}
+
+// Elements whose bits differ, where two NaNs count as equal: which NaN
+// operand a multiply-add returns depends on the instruction's operand
+// order, so NaN payloads are not part of the kernels' contract.
+int64_t bit_mismatches(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return std::max<int64_t>(a.numel(), 1);
+  int64_t bad = 0;
+  for (int64_t k = 0; k < a.numel(); ++k) {
+    const float u = a.data()[k], v = b.data()[k];
+    bad += !(std::isnan(u) && std::isnan(v)) && std::memcmp(&u, &v, sizeof(float)) != 0;
+  }
+  return bad;
+}
+
+// Fills t with normal values sprinkled with NaN, ±Inf and -0.0.
+void fill_with_specials(Tensor& t, Rng& rng, double special_rate) {
+  rng.fill_normal(t, 0, 1);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f};
+  for (float& v : t.flat()) {
+    if (rng.bernoulli(special_rate)) v = specials[rng.randint(4)];
+  }
+}
+
+TEST(ConvLowering, DirectCsrConvBitMatchesColumnFormulation) {
+  // Generated geometries: kernels 1/3/5, strides 1/2, padding up to one
+  // past k/2, planes from 1 wide (a kernel overhanging the padded input)
+  // to past one 16-column register tile, NaN/Inf/-0 in inputs and
+  // weights, all-zero rows, with and without bias.
+  Rng rng(404);
+  const int64_t planes[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 17, 20};
+  const double keeps[] = {0.0, 0.1, 0.5, 1.0};
+  const auto pick = [&](int64_t lo, int64_t hi) { return lo + rng.randint(hi - lo + 1); };
+  int64_t geometries = 0;
+  for (const int64_t kernel : {1, 3, 5}) {
+    for (const int64_t stride : {1, 2}) {
+      for (int64_t pad = 0; pad <= kernel / 2 + 1; ++pad) {
+        for (int draw = 0; draw < 8; ++draw) {
+          const int64_t h = planes[pick(0, 10)], w = planes[pick(0, 10)];
+          const ConvGeometry g{pick(1, 4), h, w, kernel, kernel, stride, pad};
+          if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+          const int64_t out_c = pick(1, 9);
+          Tensor dense({out_c, g.col_rows()});
+          fill_with_specials(dense, rng, 0.02);
+          const double keep = keeps[draw % 4];
+          for (float& v : dense.flat()) {
+            if (!rng.bernoulli(keep)) v = 0.0f;
+          }
+          for (int64_t c = 0; c < g.col_rows(); ++c) dense(out_c / 2, c) = 0.0f;  // empty row
+          const CsrMatrix csr = csr_from_dense(dense.data(), out_c, g.col_rows());
+          Tensor bias({out_c});
+          fill_with_specials(bias, rng, 0.1);
+          ++geometries;
+          for (const int64_t n : {1, 7, 32}) {
+            Tensor x({n, g.in_c, h, w});
+            fill_with_specials(x, rng, 0.01);
+            for (const float* b : std::array<const float*, 2>{nullptr, bias.data()}) {
+              const Tensor got = conv2d_csr_eval(x, g, csr, b, /*relu=*/false);
+              EXPECT_EQ(bit_mismatches(got, column_csr_conv(x, g, csr, b)), 0)
+                  << "kernel " << kernel << " stride " << stride << " pad " << pad << " in "
+                  << g.in_c << "x" << h << "x" << w << " out_c " << out_c << " keep " << keep
+                  << " batch " << n << (b != nullptr ? " with" : " without") << " bias";
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(geometries, 100);
+}
+
+TEST(ConvLowering, FusedReluBitMatchesUnfused) {
+  // The fused epilogue applies relu_inplace's test to the finished sum,
+  // so it must equal the standalone ReLU after the unfused conv — in the
+  // CSR kernel and in conv2d_eval under every bias form the Shrunk
+  // executor passes it.
+  Rng rng(77);
+  for (const int64_t stride : {1, 2}) {
+    const ConvGeometry g{5, 11, 19, 3, 3, stride, 1};
+    const int64_t out_c = 8, spatial = g.col_cols();
+    Tensor dense({out_c, g.col_rows()});
+    fill_with_specials(dense, rng, 0.01);
+    for (float& v : dense.flat()) {
+      if (rng.bernoulli(0.6)) v = 0.0f;
+    }
+    const CsrMatrix csr = csr_from_dense(dense.data(), out_c, g.col_rows());
+    Tensor bias({out_c}), plane({out_c, spatial});
+    rng.fill_normal(bias, 0, 1);
+    rng.fill_normal(plane, 0, 1);
+    for (const int64_t n : {1, 7}) {
+      Tensor x({n, g.in_c, g.in_h, g.in_w});
+      fill_with_specials(x, rng, 0.01);
+      for (const float* b : std::array<const float*, 2>{nullptr, bias.data()}) {
+        EXPECT_TRUE(same_bits(conv2d_csr_eval(x, g, csr, b, /*relu=*/true),
+                              relu(conv2d_csr_eval(x, g, csr, b, /*relu=*/false))))
+            << "csr stride " << stride << " batch " << n;
+      }
+      for (const ConvBias b : {ConvBias{}, ConvBias{bias.data()}, ConvBias{plane.data(), true}}) {
+        EXPECT_TRUE(same_bits(conv2d_eval(x, g, dense.data(), out_c, b, /*relu=*/true),
+                              relu(conv2d_eval(x, g, dense.data(), out_c, b, /*relu=*/false))))
+            << "dense stride " << stride << " batch " << n << " per_position "
+            << b.per_position;
+      }
+    }
   }
 }
 
