@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   BenchStatus status;
   std::map<std::string, std::map<std::string, std::vector<AggregatePoint>>> per_model;
-  for (const std::string arch : {std::string("cifar-vgg"), std::string("resnet-56")}) {
+  for (const std::string& arch : {std::string("cifar-vgg"), std::string("resnet-56")}) {
     ExperimentConfig base;
     base.dataset = "synth-cifar10";
     base.arch = arch;

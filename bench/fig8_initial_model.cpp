@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   std::map<std::string, double> initial_top1;                 // "A"/"B"
   std::vector<ExperimentResult> all;
   for (const Variant& v : variants) {
-    for (const std::string strategy : {std::string("global-weight"), std::string("layer-weight")}) {
+    for (const std::string& strategy :
+         {std::string("global-weight"), std::string("layer-weight")}) {
       ExperimentConfig cfg;
       cfg.dataset = "synth-cifar10";
       cfg.arch = "resnet-56";

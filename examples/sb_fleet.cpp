@@ -1,6 +1,6 @@
 // sb_fleet: multi-process sweep coordinator.
 //
-//   ./sb_fleet --workers 4 --strategies global-weight,layer-weight \
+//   ./sb_fleet --workers 4 --strategies global-weight,layer-weight
 //              --ratios 2,4,8 --seeds 1,2,3 --csv fleet.csv
 //
 // Forks N worker processes that shard one (strategy x ratio x seed)

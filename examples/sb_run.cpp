@@ -1,6 +1,6 @@
 // sb_run: command-line driver for single pruning experiments.
 //
-//   ./sb_run --arch resnet-56 --strategy global-gradient --ratio 8 \
+//   ./sb_run --arch resnet-56 --strategy global-gradient --ratio 8
 //            --dataset synth-cifar10 --seed 3 --schedule iterative --steps 3
 //
 // Prints the model summary, runs the full pretrain(cached) -> prune ->

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "nn/sparse.hpp"
 #include "obs/profile.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/threadpool.hpp"
@@ -256,6 +257,7 @@ ConvGeometry conv_geometry(const std::string& who, const Tensor& x, int64_t in_c
 
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
                    ConvBias bias, bool relu) {
+  if (g.out_w() >= kDirectMinOutW) return conv2d_direct_eval(x, g, weight, out_c, bias, relu);
   const int64_t n = x.size(0);
   const int64_t spatial = g.col_cols();
   const int64_t col_rows = g.col_rows();

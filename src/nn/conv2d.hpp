@@ -1,4 +1,7 @@
-// 2-D convolution (NCHW) lowered onto GEMM. Weight shape: [out_c, in_c, kh, kw].
+// 2-D convolution (NCHW). Weight shape: [out_c, in_c, kh, kw]. The eval
+// forward convolves wide output planes directly from the input
+// (nn/sparse.hpp) and lowers narrow ones onto GEMM; the backward lowers
+// onto GEMM.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -55,12 +58,34 @@ struct ConvBias {
 /// axis is the only parallelism left.
 constexpr int64_t kMinOcPerTile = 4;
 
-/// Eval convolution of x ([N, in_c, H, W], geometry g) over the fused
-/// (sample × out-channel-tile) grid. Each tile walks its samples in
-/// cache-sized blocks (for_each_stage_block) and runs its weight rows'
-/// sub-GEMM plus the epilogue (bias, then ReLU when relu is set) on each
-/// block while the columns are cache-hot, at every thread count. weight
-/// is [out_c, g.col_rows()] row-major. Returns [N, out_c, oh, ow].
+/// Narrowest output plane (in columns) that conv2d_eval convolves
+/// directly. Below it the direct kernel's vectors run mostly empty and
+/// the staged GEMM lowering is faster.
+constexpr int64_t kDirectMinOutW = 8;
+
+/// Eval convolution of x ([N, in_c, H, W], geometry g): weight is
+/// [out_c, g.col_rows()] row-major, and the epilogue adds the bias, then
+/// applies the ReLU when relu is set (v < 0 -> 0, as relu_inplace).
+/// Returns [N, out_c, oh, ow]. Two lowerings share the fused (sample ×
+/// out-channel-tile) grid, chosen by geometry alone:
+///
+/// - g.out_w() >= kDirectMinOutW: conv2d_direct_eval (nn/sparse.hpp)
+///   convolves straight from zero-bordered phase planes of each sample,
+///   taking every tap of every weight row.
+/// - narrower outputs: each tile walks its samples in cache-sized blocks
+///   (for_each_stage_block) and runs its weight rows' sub-GEMM on each
+///   block's im2col columns while they are cache-hot.
+///
+/// Both start each output at +0.0 and take one fused multiply-add per
+/// column-matrix row in ascending order, so for finite inputs they give
+/// the same bits, at every thread count and SIMD tier. (That needs a
+/// build that fuses a*b + c, as the default -O3 -march=native does on an
+/// FMA host. A build that does not fuse matches only the scalar GEMM
+/// tier; the avx2/avx512 tiers always fuse.) They differ on non-finite
+/// inputs: the GEMM skips a column whose weights are +0 across its
+/// micro-row group, and the direct path does not. So an Inf or NaN input
+/// under such a column yields NaN on the direct path, and the GEMM
+/// ignores it.
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
                    ConvBias bias, bool relu);
 

@@ -73,7 +73,8 @@ namespace {
 
 // GCC vector extensions: one register-tile row of 16 output columns, or
 // 8 when the output rows are at most 8 wide. Arithmetic on them compiles
-// to the same (fused) multiply-adds as csr_matmul's scalar loop.
+// to the same (fused) multiply-adds as csr_matmul's scalar loop and the
+// GEMM block kernels.
 using Vec16 = float __attribute__((vector_size(64)));
 using Vec8 = float __attribute__((vector_size(32)));
 
@@ -162,14 +163,26 @@ struct Taps {
   int64_t count;
 };
 
+// One output plane's epilogue, in conv_epilogue's order: its channel's
+// bias, or its per-position bias plane (row pitch ow), or nothing; then
+// the ReLU when set.
+struct Epilogue {
+  const float* bias;
+  const float* plane;
+  bool relu;
+};
+
 // One register tile: R output rows × one vector of columns of an output
-// plane (row pitch ow) from the staged sample at `src` (the tile's first
-// row and column; row pitch `pitch`). Each element starts at +0.0 and
-// adds its taps in ascending CSR entry order — csr_matmul's arithmetic —
-// then the bias and the ReLU. Only the first `width` columns are stored.
+// plane (row pitch ow) whose first element is out[at], from the staged
+// sample at `src` (the tile's first row and column; row pitch `pitch`).
+// Each element starts at +0.0 and takes one multiply-add per tap in
+// ascending order — csr_matmul's arithmetic over CSR entries, and the
+// GEMM block kernel's over a dense row — then the epilogue. Only the
+// first `width` columns are stored.
 template <typename V, int R>
-inline void direct_tile(const float* src, int64_t pitch, Taps taps, const float* bias, bool relu,
-                        float* out, int64_t ow, int64_t width) {
+inline void direct_tile(const float* src, int64_t pitch, Taps taps, Epilogue ep, float* out,
+                        int64_t at, int64_t ow, int64_t width) {
+  constexpr int64_t kLanes = sizeof(V) / sizeof(float);
   V acc[R];
   for (int r = 0; r < R; ++r) acc[r] = V{};
   for (int64_t e = 0; e < taps.count; ++e) {
@@ -182,62 +195,86 @@ inline void direct_tile(const float* src, int64_t pitch, Taps taps, const float*
     }
   }
   for (int r = 0; r < R; ++r) {
+    const int64_t row = at + r * ow;
     V y = acc[r];
-    if (bias != nullptr) y += *bias;
-    if (relu) y = y < V{} ? V{} : y;
-    if (width == static_cast<int64_t>(sizeof(V) / sizeof(float))) {
-      std::memcpy(out + r * ow, &y, sizeof(V));
+    if (ep.bias != nullptr) {
+      y += *ep.bias;
+    } else if (ep.plane != nullptr) {
+      V b{};
+      if (width == kLanes) {
+        std::memcpy(&b, ep.plane + row, sizeof(V));
+      } else {
+        for (int64_t j = 0; j < width; ++j) b[j] = ep.plane[row + j];
+      }
+      y += b;
+    }
+    if (ep.relu) y = y < V{} ? V{} : y;
+    if (width == kLanes) {
+      std::memcpy(out + row, &y, sizeof(V));
     } else {
-      for (int64_t j = 0; j < width; ++j) out[r * ow + j] = y[j];
+      for (int64_t j = 0; j < width; ++j) out[row + j] = y[j];
     }
   }
 }
 
-// Output rows [y0, oh) of one column strip: tiles of R rows, then at most
-// one tile each of R/2, R/4, ... rows for the remainder.
+// Output rows [y0, oh) of the column strip at x0: tiles of R rows, then
+// at most one tile each of R/2, R/4, ... rows for the remainder.
 template <typename V, int R>
-void direct_rows(const float* src, int64_t pitch, Taps taps, const float* bias, bool relu,
-                 float* out, int64_t ow, int64_t width, int64_t y0, int64_t oh) {
+void direct_rows(const float* stage, int64_t pitch, Taps taps, Epilogue ep, float* out,
+                 int64_t ow, int64_t x0, int64_t width, int64_t y0, int64_t oh) {
   for (; y0 + R <= oh; y0 += R) {
-    direct_tile<V, R>(src + y0 * pitch, pitch, taps, bias, relu, out + y0 * ow, ow, width);
+    direct_tile<V, R>(stage + y0 * pitch + x0, pitch, taps, ep, out, y0 * ow + x0, ow, width);
   }
-  if constexpr (R > 1) direct_rows<V, R / 2>(src, pitch, taps, bias, relu, out, ow, width, y0, oh);
+  if constexpr (R > 1) direct_rows<V, R / 2>(stage, pitch, taps, ep, out, ow, x0, width, y0, oh);
 }
 
-// Output plane [oh, ow] of one CSR row over the staged sample `stage`.
+// Output plane [oh, ow] of one weight row over the staged sample `stage`.
 template <typename V>
-void direct_plane(const float* stage, int64_t pitch, Taps taps, const float* bias, bool relu,
-                  int64_t oh, int64_t ow, float* out) {
+void direct_plane(const float* stage, int64_t pitch, Taps taps, Epilogue ep, int64_t oh,
+                  int64_t ow, float* out) {
   constexpr int64_t kW = sizeof(V) / sizeof(float);
   for (int64_t x0 = 0; x0 < ow; x0 += kW) {
-    direct_rows<V, kTileRows>(stage + x0, pitch, taps, bias, relu, out + x0, ow,
-                              std::min(kW, ow - x0), 0, oh);
+    direct_rows<V, kTileRows>(stage, pitch, taps, ep, out, ow, x0, std::min(kW, ow - x0), 0, oh);
   }
 }
 
-}  // namespace
+// The weight rows the direct driver convolves: nnz CSR entries (row o's
+// are [row_ptr[o], row_ptr[o + 1]), their column-matrix rows in col_idx),
+// or, when row_ptr is null, dense [out_c, g.col_rows()] rows whose every
+// tap is taken — a +0 weight included.
+struct DirectRows {
+  const float* value;
+  const int64_t* row_ptr;
+  const int32_t* col_idx;
+  int64_t nnz;
+};
 
-Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
-                       const float* bias, bool relu) {
-  const int64_t n = x.size(0), out_c = w.rows;
+// The direct convolution driver of conv2d_csr_eval and
+// conv2d_direct_eval: stages each sample's phase planes once per chunk
+// and runs every output plane of its channel tiles through direct_tile.
+Tensor direct_conv(const Tensor& x, const ConvGeometry& g, int64_t out_c, DirectRows w,
+                   ConvBias bias, bool relu) {
+  const int64_t n = x.size(0), col_rows = g.col_rows();
   const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
   const int64_t image_numel = g.in_c * g.in_h * g.in_w;
+  const bool dense = w.row_ptr == nullptr;
   Tensor y({n, out_c, oh, ow});
   const PhasePlanes pp(g);
   // Scratch lives in the thread-local arenas: after warm-up, steady-state
-  // forwards perform zero heap allocations. Entries decode to their
-  // staged offsets once per call, through a table over the column rows.
+  // forwards perform zero heap allocations. Taps decode to their staged
+  // offsets once per call: the table over the column rows serves dense
+  // rows as is and CSR entries through their column indices.
   Workspace::Scope scope;
-  int64_t* off = static_cast<int64_t*>(Workspace::tls().get(
-      static_cast<size_t>(g.col_rows() + w.nnz()) * sizeof(int64_t)));
-  int64_t* row_offset = off + w.nnz();
+  int64_t* off = static_cast<int64_t*>(
+      Workspace::tls().get(static_cast<size_t>(col_rows + w.nnz) * sizeof(int64_t)));
+  int64_t* row_offset = off + w.nnz;
   pp.offsets(g, row_offset);
-  for (int64_t e = 0; e < w.nnz(); ++e) off[e] = row_offset[w.col_idx[static_cast<size_t>(e)]];
+  for (int64_t e = 0; e < w.nnz; ++e) off[e] = row_offset[w.col_idx[e]];
   // A row's last vector may read past the staged planes' end; the slack
   // keeps those (never stored) lanes inside the allocation.
   const int64_t stage_floats = pp.floats(g) + static_cast<int64_t>(sizeof(Vec16) / sizeof(float));
   const bool narrow = ow <= static_cast<int64_t>(sizeof(Vec8) / sizeof(float));
-  // Fused (sample × out-channel-tile) grid, as conv2d_eval's: every
+  // Fused (sample × out-channel-tile) grid, as the GEMM lowering's: every
   // output plane is computed whole by one tile, so y is bit-identical at
   // every thread count.
   const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
@@ -257,15 +294,16 @@ Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& 
         for (int64_t u = t; u < row_end; ++u) {
           const Grid2d::Range cr = grid.range1(grid.tile1(u));
           for (int64_t o = cr.lo; o < cr.hi; ++o) {
-            const int64_t begin = w.row_ptr[static_cast<size_t>(o)];
-            const Taps taps{off + begin, w.values.data() + begin,
-                            w.row_ptr[static_cast<size_t>(o) + 1] - begin};
-            const float* b = bias != nullptr ? bias + o : nullptr;
+            const int64_t begin = dense ? o * col_rows : w.row_ptr[o];
+            const Taps taps{dense ? row_offset : off + begin, w.value + begin,
+                            dense ? col_rows : w.row_ptr[o + 1] - begin};
+            const Epilogue ep{bias.data != nullptr && !bias.per_position ? bias.data + o : nullptr,
+                              bias.per_position ? bias.data + o * spatial : nullptr, relu};
             float* out = y.data() + (i * out_c + o) * spatial;
             if (narrow) {
-              direct_plane<Vec8>(stage, pp.cols, taps, b, relu, oh, ow, out);
+              direct_plane<Vec8>(stage, pp.cols, taps, ep, oh, ow, out);
             } else {
-              direct_plane<Vec16>(stage, pp.cols, taps, b, relu, oh, ow, out);
+              direct_plane<Vec16>(stage, pp.cols, taps, ep, oh, ow, out);
             }
           }
         }
@@ -274,6 +312,19 @@ Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& 
     }
   });
   return y;
+}
+
+}  // namespace
+
+Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
+                       const float* bias, bool relu) {
+  return direct_conv(x, g, w.rows, {w.values.data(), w.row_ptr.data(), w.col_idx.data(), w.nnz()},
+                     {bias}, relu);
+}
+
+Tensor conv2d_direct_eval(const Tensor& x, const ConvGeometry& g, const float* weight,
+                          int64_t out_c, ConvBias bias, bool relu) {
+  return direct_conv(x, g, out_c, {weight, nullptr, nullptr, 0}, bias, relu);
 }
 
 Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, const float* bias) {

@@ -1,17 +1,20 @@
-// Sparse (CSR) inference kernels.
+// Sparse (CSR) inference kernels and the direct convolution.
 //
 // The paper (§2.3) notes that unstructured pruning "may not be arranged in
 // a fashion conducive to speedups using modern libraries and hardware" —
 // parameter and FLOP counts are proxies, not wall-clock. This module holds
 // the CSR half of the eval lowering: the CSR matrix, its matmul, and the
 // CSR conv and linear kernels that the serving executor's Csr mode runs
-// (serve/executor.hpp). The CSR conv is a direct convolution: it reads
-// its input planes in place of an im2col matrix, so no dense-sized copy
-// precedes the sparse work, and it applies its bias and a fused ReLU in
-// registers. bench/ablation_sparse_inference times one-layer Csr
-// executors against Dense ones to locate the sparsity where sparse
-// execution actually overtakes the dense kernels, and how far its
-// wall-clock speedup stays below the theoretical one.
+// (serve/executor.hpp). It also holds the direct convolution driver that
+// two callers share: it reads its input planes in place of an im2col
+// matrix, so no dense-sized copy precedes the multiply-adds, and it
+// applies its bias and a fused ReLU in registers. conv2d_csr_eval passes
+// it CSR entries; conv2d_direct_eval passes dense weight rows, every tap
+// of them, and conv2d_eval (nn/conv2d.hpp) routes its wide output planes
+// there. bench/ablation_sparse_inference times one-layer Csr executors
+// against Dense ones to locate the sparsity where sparse execution
+// actually overtakes the dense kernels, and how far its wall-clock
+// speedup stays below the theoretical one.
 //
 // Inference-only: backward is intentionally unsupported.
 #pragma once
@@ -66,6 +69,16 @@ Tensor csr_to_dense(const CsrMatrix& csr);
 /// [N, out_c, oh, ow].
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
                        const float* bias, bool relu);
+
+/// The same direct convolution over dense weight rows ([out_c,
+/// g.col_rows()] row-major): every tap of a row is taken, a +0 weight
+/// included, so the dense baseline never turns into a sparse kernel.
+/// Each output element starts at +0.0 and takes one multiply-add per
+/// column-matrix row in ascending order — the GEMM block kernel's chain —
+/// then conv2d_eval's epilogue (either bias form, then the ReLU). Called
+/// by conv2d_eval for output planes at least kDirectMinOutW wide.
+Tensor conv2d_direct_eval(const Tensor& x, const ConvGeometry& g, const float* weight,
+                          int64_t out_c, ConvBias bias, bool relu);
 
 /// CSR eval fully-connected layer: y = x W^T + bias for x [N, w.cols]
 /// (bias == nullptr: none). Returns [N, w.rows].

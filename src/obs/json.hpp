@@ -36,7 +36,13 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-inline std::string json_str(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+inline std::string json_str(const std::string& s) {
+  const std::string body = json_escape(s);
+  std::string out;
+  out.reserve(body.size() + 2);
+  out.append(1, '"').append(body).append(1, '"');
+  return out;
+}
 
 /// Doubles formatted round-trippably; NaN/inf (invalid JSON) become null.
 inline std::string json_num(double v) {

@@ -21,15 +21,20 @@
 //           differs along the borders, so it becomes a per-position bias
 //           plane built from the call's geometry. A residual join keeps
 //           the union of both branches' live channels. One final op
-//           expands the result to the model's output shape. So im2col,
-//           the GEMM's k dimension, BN, ReLU and pooling all run over
-//           live channels only.
+//           expands the result to the model's output shape. So the conv
+//           taps, the GEMM's k dimension, BN, ReLU and pooling all run
+//           over live channels only.
 //
 // There is one eval lowering. An op is compiled data (packed weights,
 // folded constants) plus a call into the same nn kernel the eager layer's
 // forward(x, /*train=*/false) runs: conv2d_eval and linear_eval for Dense
 // and Shrunk, conv2d_csr_eval and linear_csr_eval (nn/sparse) for Csr,
-// and the BN, ReLU and pool kernels for every mode.
+// and the BN, ReLU and pool kernels for every mode. conv2d_eval picks
+// its lowering from the geometry alone — the direct convolution that
+// conv2d_csr_eval also runs for output planes at least 8 columns wide,
+// im2col + GEMM for narrower ones — so Dense and the eager forward
+// always take the same path, and Shrunk's per-position border biases
+// ride the direct path's epilogue too.
 //
 // Fusion rule: in Csr and Shrunk, a BatchNorm2d directly after a conv
 // folds into its weights and bias, and a ReLU directly after the conv

@@ -4,11 +4,12 @@
 //
 // - Column matrix [C*kh*kw, out_h*out_w] (im2col / im2col_ld): one row
 //   per (channel, kernel position), one column per output position. It is
-//   the B operand of Y = W · cols, so the dense eval forward (conv2d_eval,
-//   in cache-sized sample blocks) and nothing else uses it; the CSR eval
-//   conv (nn/sparse) reads its input planes directly. col2im / col2im_ld /
-//   col2im_channels_ld are its adjoint: Conv2d's backward scatters
-//   dcols = Wᵀ·dY back into dX with col2im_channels_ld.
+//   the B operand of Y = W · cols, which the dense eval forward
+//   (conv2d_eval, in cache-sized sample blocks) runs only for outputs
+//   narrower than kDirectMinOutW (8) columns; wider outputs and the CSR
+//   eval conv read their input planes directly (nn/sparse). col2im /
+//   col2im_ld / col2im_channels_ld are its adjoint: Conv2d's backward
+//   scatters dcols = Wᵀ·dY back into dX with col2im_channels_ld.
 //
 // - Patch rows [out_h*out_w, C*kh*kw] (im2row): the transpose, one row
 //   per output position. Conv2d's backward lowers its cached input into

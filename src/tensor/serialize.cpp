@@ -1,8 +1,10 @@
 #include "tensor/serialize.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace shrinkbench {
 
@@ -65,15 +67,47 @@ void write_tensor(std::ostream& os, const Tensor& t) {
            static_cast<std::streamsize>(t.numel() * sizeof(float)));
 }
 
+namespace {
+
+// Bytes between the read position and the end of a seekable stream; -1
+// when the stream cannot seek.
+int64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  return end == std::istream::pos_type(-1) ? -1 : static_cast<int64_t>(end - here);
+}
+
+}  // namespace
+
 Tensor read_tensor(std::istream& is) {
   if (read_i64(is) != kTensorMagic) throw std::runtime_error("read_tensor: bad magic");
   const int64_t rank = read_i64(is);
   if (rank < 0 || rank > 8) throw std::runtime_error("read_tensor: implausible rank");
   Shape shape(static_cast<size_t>(rank));
-  for (auto& d : shape) d = read_i64(is);
+  // A corrupted header must fail here, before the payload is allocated:
+  // each dim is checked, then the element count, then its bytes against
+  // what the stream still holds.
+  int64_t numel = 1;
+  for (auto& d : shape) {
+    d = read_i64(is);
+    if (d < 0) throw std::runtime_error("read_tensor: negative dimension");
+    if (__builtin_mul_overflow(numel, d, &numel) ||
+        numel > std::numeric_limits<int64_t>::max() / static_cast<int64_t>(sizeof(float))) {
+      throw std::runtime_error("read_tensor: element count overflows");
+    }
+  }
+  const int64_t payload = numel * static_cast<int64_t>(sizeof(float));
+  const int64_t left = bytes_left(is);
+  if (left >= 0 && payload > left) {
+    throw std::runtime_error("read_tensor: payload of " + std::to_string(payload) +
+                             " bytes exceeds the " + std::to_string(left) + " left in the stream");
+  }
   Tensor t(shape);
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel() * sizeof(float)));
+  is.read(reinterpret_cast<char*>(t.data()), static_cast<std::streamsize>(payload));
   if (!is) throw std::runtime_error("read_tensor: truncated payload");
   return t;
 }

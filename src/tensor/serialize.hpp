@@ -15,6 +15,10 @@
 namespace shrinkbench {
 
 void write_tensor(std::ostream& os, const Tensor& t);
+/// Throws std::runtime_error on a corrupted or truncated record. A bad
+/// header (magic, rank, a negative dim, an element count that overflows,
+/// or, on a seekable stream, a payload longer than the bytes left) fails
+/// before the payload is allocated.
 Tensor read_tensor(std::istream& is);
 
 void write_string(std::ostream& os, const std::string& s);

@@ -9,7 +9,10 @@ int64_t numel_of(const Shape& shape) {
   int64_t n = 1;
   for (int64_t d : shape) {
     if (d < 0) throw std::invalid_argument("numel_of: negative dimension in " + to_string(shape));
-    n *= d;
+    if (__builtin_mul_overflow(n, d, &n)) {
+      throw std::overflow_error("numel_of: element count of " + to_string(shape) +
+                                " overflows int64");
+    }
   }
   return n;
 }

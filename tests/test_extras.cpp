@@ -117,7 +117,9 @@ TEST(Checklist, DetectsMissingBaselines) {
     if (item.id == "random-baseline" || item.id == "magnitude-baseline") {
       EXPECT_FALSE(item.satisfied) << item.id;
     }
-    if (item.id == "operating-points") EXPECT_TRUE(item.satisfied);
+    if (item.id == "operating-points") {
+      EXPECT_TRUE(item.satisfied);
+    }
   }
 }
 

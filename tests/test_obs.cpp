@@ -788,7 +788,9 @@ TEST_F(TelemetryFixture, SeriesJsonlParsesAndIsMonotonic) {
     const JsonValue v = JsonParser(line).parse();
     ASSERT_TRUE(v.has("t") && v.has("series") && v.has("value"));
     const std::string& name = v.at("series").string;
-    if (last_t.count(name)) EXPECT_GE(v.at("t").number, last_t[name]) << name;
+    if (last_t.count(name)) {
+      EXPECT_GE(v.at("t").number, last_t[name]) << name;
+    }
     last_t[name] = v.at("t").number;
     ++n;
   }

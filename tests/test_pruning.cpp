@@ -325,7 +325,9 @@ TEST(PruneModel, ClassifierExcludedByDefault) {
   PruneOptions opts;
   prune_model(*fx.model, strategy_from_name("global-weight"), 0.1, fx.bundle.train, opts, rng);
   for (const Parameter* p : parameters_of(*fx.model)) {
-    if (p->is_classifier) EXPECT_EQ(p->nonzero(), p->numel());
+    if (p->is_classifier) {
+      EXPECT_EQ(p->nonzero(), p->numel());
+    }
   }
 }
 

@@ -6,7 +6,8 @@
 // lossless drain), parallel CSR matmul determinism, steady-state zero
 // arena growth in every exec mode, and the conv lowerings against their
 // column formulations (patch rows, backward, blocked eval, the direct
-// CSR conv) plus the fused conv + ReLU epilogues.
+// CSR conv, the direct dense conv) plus the fused conv + ReLU epilogues,
+// and the dense direct path's rule that it takes every tap.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -46,6 +47,7 @@
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/threadpool.hpp"
 #include "tensor/workspace.hpp"
 
@@ -706,6 +708,144 @@ TEST(ConvLowering, FusedReluBitMatchesUnfused) {
             << "dense stride " << stride << " batch " << n << " per_position "
             << b.per_position;
       }
+    }
+  }
+}
+
+// Whether this build contracts a*b + c into one fused multiply-add, as the
+// default Release flags (-O3 -march=native) do on an FMA host. Then every
+// GEMM tier and the direct conv run the same fused chain. Otherwise the
+// direct conv and the scalar tier multiply and add separately, while the
+// avx2/avx512 tiers still fuse through their intrinsics, so the direct
+// path is held to the scalar tier's arithmetic.
+#if defined(__FMA__) && defined(__OPTIMIZE__)
+constexpr bool kFusedBuild = true;
+#else
+constexpr bool kFusedBuild = false;
+#endif
+
+// The GEMM lowering of the dense eval conv, one sample at a time: im2col,
+// gemm, the bias (either form) and the ReLU — the arithmetic, in the
+// order, that conv2d_eval's direct path must reproduce on finite inputs.
+Tensor column_dense_conv(const Tensor& x, const ConvGeometry& g, const Tensor& w, ConvBias bias,
+                         bool relu) {
+  const int64_t n = x.size(0), out_c = w.size(0), spatial = g.col_cols();
+  const int64_t image = g.in_c * g.in_h * g.in_w;
+  std::vector<float> cols(static_cast<size_t>(g.col_rows() * spatial));
+  Tensor y({n, out_c, g.out_h(), g.out_w()});
+  for (int64_t i = 0; i < n; ++i) {
+    im2col_ld(g, x.data() + i * image, cols.data(), spatial);
+    float* yi = y.data() + i * out_c * spatial;
+    if (kFusedBuild || g.out_w() < kDirectMinOutW) {
+      gemm(false, false, out_c, spatial, g.col_rows(), 1.0f, w.data(), g.col_rows(), cols.data(),
+           spatial, 0.0f, yi, spatial);
+    } else {
+      simd::block_kernel(simd::Level::Scalar)(out_c, spatial, g.col_rows(), w.data(),
+                                              g.col_rows(), cols.data(), spatial, yi, spatial);
+    }
+    for (int64_t o = 0; o < out_c; ++o) {
+      float* dst = yi + o * spatial;
+      for (int64_t sp = 0; sp < spatial; ++sp) {
+        if (bias.data != nullptr) {
+          dst[sp] += bias.per_position ? bias.data[o * spatial + sp] : bias.data[o];
+        }
+        if (relu) dst[sp] = dst[sp] < 0.0f ? 0.0f : dst[sp];
+      }
+    }
+  }
+  return y;
+}
+
+TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
+  // Generated geometries: kernels 1/3/5, strides 1/2, padding up to one
+  // past k/2, output planes from 1 to 40 wide, so conv2d_eval runs both
+  // its GEMM lowering (outputs narrower than kDirectMinOutW) and its
+  // direct path. Inputs and weights are finite with -0.0 sprinkled in,
+  // and whole weight columns are +0 (the GEMM skips those, the direct
+  // path multiplies them): on finite inputs the bits may not differ.
+  Rng rng(2101);
+  const auto pick = [&](int64_t lo, int64_t hi) { return lo + rng.randint(hi - lo + 1); };
+  const auto sprinkle = [&](Tensor& t) {
+    rng.fill_normal(t, 0, 1);
+    for (float& v : t.flat()) {
+      if (rng.bernoulli(0.03)) v = -0.0f;
+    }
+  };
+  int64_t direct = 0, lowered = 0;
+  for (const int64_t kernel : {1, 3, 5}) {
+    for (const int64_t stride : {1, 2}) {
+      for (int64_t pad = 0; pad <= kernel / 2 + 1; ++pad) {
+        for (int draw = 0; draw < 6; ++draw) {
+          const int64_t h = pick(1, 12), w = draw % 2 == 0 ? pick(1, 12) : pick(8, 40 * stride);
+          const ConvGeometry g{pick(1, 4), h, w, kernel, kernel, stride, pad};
+          if (g.out_h() <= 0 || g.out_w() <= 0 || g.out_w() > 40) continue;
+          ++(g.out_w() >= kDirectMinOutW ? direct : lowered);
+          const int64_t out_c = pick(1, 9), spatial = g.col_cols();
+          Tensor weight({out_c, g.col_rows()});
+          sprinkle(weight);
+          for (int64_t c = 0; c < g.col_rows(); ++c) {
+            if (rng.bernoulli(0.3)) {
+              for (int64_t o = 0; o < out_c; ++o) weight(o, c) = 0.0f;
+            }
+          }
+          Tensor bias({out_c}), plane({out_c, spatial});
+          rng.fill_normal(bias, 0, 1);
+          rng.fill_normal(plane, 0, 1);
+          const ConvBias forms[] = {ConvBias{}, ConvBias{bias.data()},
+                                    ConvBias{plane.data(), true}};
+          for (const int64_t n : {1, 7, 32}) {
+            Tensor x({n, g.in_c, h, w});
+            sprinkle(x);
+            for (const ConvBias b : forms) {
+              for (const bool relu : {false, true}) {
+                const Tensor got = conv2d_eval(x, g, weight.data(), out_c, b, relu);
+                const char* form = b.data == nullptr ? "none"
+                                   : b.per_position  ? "plane"
+                                                     : "channel";
+                EXPECT_EQ(bit_mismatches(got, column_dense_conv(x, g, weight, b, relu)), 0)
+                    << "kernel " << kernel << " stride " << stride << " pad " << pad << " in "
+                    << g.in_c << "x" << h << "x" << w << " out_c " << out_c << " batch " << n
+                    << " bias " << form << " relu " << relu;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(direct, 40);
+  EXPECT_GE(lowered, 30);
+}
+
+TEST(ConvLowering, DenseDirectPathMultipliesZeroTaps) {
+  // The dense baseline takes every tap: a +0 weight times an Inf input is
+  // NaN, so it must poison the outputs that read the Inf through it. The
+  // center tap of input channel 1 is +0 in every row (as a pruned and
+  // masked column is), and every other weight is nonzero, so output
+  // (5, 5) reads input (1, 5, 5) only through that zero tap.
+  const ConvGeometry g{2, 10, 10, 3, 3, 1, 1};
+  ASSERT_GE(g.out_w(), kDirectMinOutW);
+  const int64_t out_c = 4, center = 1 * 9 + 4;
+  Sequential model("m");
+  model.emplace<Conv2d>("c", 2, out_c, 3, 1, 1, false);
+  auto& conv = static_cast<Conv2d&>(model[0]);
+  Tensor& w = conv.weight().data;
+  Rng rng(5);
+  rng.fill_uniform(w, 0.5f, 1.5f);
+  Tensor& mask = conv.weight().mask;
+  for (int64_t o = 0; o < out_c; ++o) mask.data()[o * g.col_rows() + center] = 0.0f;
+  conv.weight().apply_mask();
+
+  Tensor x({1, 2, 10, 10});
+  rng.fill_normal(x, 0, 1);
+  x(0, 1, 5, 5) = std::numeric_limits<float>::infinity();
+  const serve::Executor dense = serve::compile(model, {2, 10, 10}, ExecMode::Dense);
+  const Tensor outs[] = {conv2d_eval(x, g, w.data(), out_c, {}, /*relu=*/false),
+                         dense.forward(x)};
+  for (const Tensor& y : outs) {
+    for (int64_t o = 0; o < out_c; ++o) {
+      EXPECT_TRUE(std::isnan(y(0, o, 5, 5))) << "channel " << o << ": " << y(0, o, 5, 5);
+      EXPECT_TRUE(std::isfinite(y(0, o, 0, 0))) << "channel " << o;
     }
   }
 }

@@ -158,7 +158,9 @@ TEST_F(ServeChaos, ExactlyOnceUnderEveryFaultAndPolicy) {
       EXPECT_EQ(t.values, st.completed) << label;
       EXPECT_EQ(t.exceptions, st.failed) << label;
       EXPECT_EQ(st.rejected_overload, rejected_at_submit) << label;
-      if (policy != OverloadPolicy::Reject) EXPECT_EQ(rejected_at_submit, 0) << label;
+      if (policy != OverloadPolicy::Reject) {
+        EXPECT_EQ(rejected_at_submit, 0) << label;
+      }
     }
   }
 }

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
@@ -358,6 +362,36 @@ TEST(Serialize, StringRoundTripAndCorruption) {
 
   std::stringstream bad("garbage");
   EXPECT_THROW(read_tensor(bad), std::runtime_error);
+}
+
+TEST(Serialize, CorruptedDimsFailBeforeAllocating) {
+  // A serialized [2, 3] tensor: magic, rank, two dims, six floats. Each
+  // patched header must be rejected as a read_tensor error, not as an
+  // allocation failure or an overflowed element count.
+  std::stringstream good;
+  write_tensor(good, Tensor({2, 3}, 1.0f));
+  const std::string bytes = good.str();
+  const auto patched = [&](int64_t d0, int64_t d1) {
+    std::string b = bytes;
+    std::memcpy(b.data() + 16, &d0, sizeof(d0));
+    std::memcpy(b.data() + 24, &d1, sizeof(d1));
+    return b;
+  };
+  const int64_t big = int64_t{1} << 40;
+  const std::pair<int64_t, int64_t> dims[] = {{-3, 3}, {2, -3}, {big, 3}, {2, big},
+                                              {int64_t{1} << 32, int64_t{1} << 32}};
+  for (const auto& [d0, d1] : dims) {
+    std::stringstream ss(patched(d0, d1));
+    try {
+      (void)read_tensor(ss);
+      ADD_FAILURE() << "dims [" << d0 << ", " << d1 << "] were accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("read_tensor: ", 0), 0u) << e.what();
+    }
+  }
+  std::stringstream ok(patched(3, 2));
+  EXPECT_EQ(read_tensor(ok).shape(), (Shape{3, 2}));
+  EXPECT_THROW(numel_of({int64_t{1} << 32, int64_t{1} << 32}), std::overflow_error);
 }
 
 TEST(Serialize, ScalarAndEmptyShapes) {
