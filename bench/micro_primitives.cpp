@@ -169,16 +169,20 @@ BENCHMARK(BM_ConvForwardMT)
     ->Args({64, 4})
     ->UseRealTime();
 
-// Args: channels (in = out), square plane size, batch. 16 ch 8×8 at
-// batch 32 is the long-standing case; the batch-64 ones are resnet-20's
-// three stages at the synthetic-CIFAR resolution.
+// Args: in channels, out channels, square input plane, batch, stride (3×3
+// kernel, padding 1). 16 ch 8×8 at batch 32 is the long-standing case;
+// the batch-64 ones are resnet-20's training convs at the synthetic-CIFAR
+// resolution: the stem, the three stages, and the stride-2 stage entry.
 void BM_ConvBackward(benchmark::State& state) {
-  const int64_t c = state.range(0), plane = state.range(1), batch = state.range(2);
-  sb::Conv2d conv("c", c, c, 3, 1, 1, false);
+  const int64_t in_c = state.range(0), out_c = state.range(1), plane = state.range(2);
+  const int64_t batch = state.range(3), stride = state.range(4);
+  sb::Conv2d conv("c", in_c, out_c, 3, stride, 1, false);
   sb::Rng rng(4);
   sb::kaiming_normal(conv.weight().data, rng);
-  sb::Tensor x({batch, c, plane, plane}), dy({batch, c, plane, plane});
+  sb::Tensor x({batch, in_c, plane, plane});
   rng.fill_normal(x, 0, 1);
+  const sb::Tensor y = conv.forward(x, true);
+  sb::Tensor dy(y.shape());
   rng.fill_normal(dy, 0, 1);
   for (auto _ : state) {
     conv.forward(x, true);
@@ -187,10 +191,12 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward)
-    ->Args({16, 8, 32})
-    ->Args({8, 8, 64})
-    ->Args({16, 4, 64})
-    ->Args({32, 2, 64});
+    ->Args({16, 16, 8, 32, 1})
+    ->Args({3, 8, 8, 64, 1})
+    ->Args({8, 8, 8, 64, 1})
+    ->Args({8, 16, 8, 64, 2})
+    ->Args({16, 16, 4, 64, 1})
+    ->Args({32, 32, 2, 64, 1});
 
 void BM_BatchNormForward(benchmark::State& state) {
   sb::BatchNorm2d bn("bn", 32);

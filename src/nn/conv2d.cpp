@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/sparse.hpp"
@@ -13,17 +14,303 @@ namespace shrinkbench {
 
 namespace {
 
-// Gathers NCHW activations [n, c, oh*ow] into channel-major [c, n*oh*ow],
-// so a whole minibatch becomes one GEMM operand.
-void gather_channel_major(const float* nchw, int64_t n, int64_t c, int64_t spatial, float* cm) {
-  parallel_for(0, n, work_grain(c * spatial), [&](int64_t n0, int64_t n1) {
-    for (int64_t i = n0; i < n1; ++i) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float* src = nchw + (i * c + ch) * spatial;
-        std::copy(src, src + spatial, cm + ch * (n * spatial) + i * spatial);
+// GCC vector extensions, as nn/sparse.cpp's direct conv uses them:
+// arithmetic on them compiles to the same (fused) multiply-adds as the
+// GEMM block kernels.
+using Vec4 = float __attribute__((vector_size(16)));
+using Vec8 = float __attribute__((vector_size(32)));
+using Vec16 = float __attribute__((vector_size(64)));
+
+template <typename V>
+constexpr int64_t kLanes = sizeof(V) / sizeof(float);
+
+// Accumulator rows per register tile of the backward kernels, sized to
+// fill the vector register file without spilling: 32 registers of any
+// width with AVX-512, 16 ymm registers (a Vec16 takes two) without.
+#if defined(__AVX512F__)
+template <typename V, int G>
+constexpr int kDwRows = G == 1 ? 16 : 12;
+constexpr int kDxSamples = 8;
+#else
+template <typename V, int G>
+constexpr int kDwRows = sizeof(V) == 64 ? (G == 1 ? 6 : 3) : 12;
+constexpr int kDxSamples = 4;
+#endif
+
+int64_t round_up(int64_t v, int64_t m) { return (v + m - 1) / m * m; }
+
+// The backward's staged operands, shared read-only by every tile.
+//
+// - xs: each sample's input as zero-bordered [in_c, ph, pw] planes
+//   (ph, pw cover the padding and the overhang of a kernel larger than
+//   the padded input), so column-matrix row (c, kh, kw) under output
+//   (oy, ox) reads xs[offset[row] + oy*stride*pw + ox*stride], and a
+//   padding tap reads a stored zero, as im2col's zero entries.
+// - dyt: dY transposed to [N, oh*ow, ocp], one out-channel vector per
+//   output position, lanes past out_c zero.
+// - wt: the weights as [kh*kw, out_c, cp], one input-channel vector per
+//   (tap, out channel), lanes past in_c zero.
+// - taps: for each input pixel, the (tap, output position) pairs that
+//   read it, in col2im's (kh, kw) order; pixel p's are [first[p],
+//   first[p + 1]).
+struct BackwardStage {
+  struct Tap {
+    int32_t tap, pos;
+  };
+  const ConvGeometry& g;
+  int64_t n, out_c, oh, ow, spatial, ph, pw, ocp, cp;
+  const float* xs;
+  const int64_t* offset;
+  const float* dyt;
+  const float* wt;
+  const Tap* taps;
+  const int64_t* first;
+
+  int64_t sample_floats() const { return g.in_c * ph * pw; }
+  int64_t plane() const { return g.in_h * g.in_w; }
+};
+
+// Transposes the 8×8 block in r: row k in, column k out.
+void transpose8(Vec8 (&r)[8]) {
+  Vec8 t[8], u[8];
+  for (int k = 0; k < 8; k += 2) {  // t[k], t[k+1]: rows k, k+1 interleaved
+    t[k] = __builtin_shufflevector(r[k], r[k + 1], 0, 8, 1, 9, 4, 12, 5, 13);
+    t[k + 1] = __builtin_shufflevector(r[k], r[k + 1], 2, 10, 3, 11, 6, 14, 7, 15);
+  }
+  for (int k = 0; k < 8; k += 4) {  // u[k+c]: columns c | c+4 of rows k..k+3
+    for (int j = 0; j < 2; ++j) {
+      u[k + 2 * j] = __builtin_shufflevector(t[k + j], t[k + j + 2], 0, 1, 8, 9, 4, 5, 12, 13);
+      u[k + 2 * j + 1] =
+          __builtin_shufflevector(t[k + j], t[k + j + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+    }
+  }
+  for (int c = 0; c < 4; ++c) {
+    r[c] = __builtin_shufflevector(u[c], u[c + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    r[c + 4] = __builtin_shufflevector(u[c], u[c + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+}
+
+// One sample's dY [out_c, spatial] as dst [spatial, ocp], lanes past
+// out_c zero (ocp is a multiple of 8): 8×8 blocks through registers,
+// then the last spatial % 8 positions one by one.
+void transpose_dy(const float* src, int64_t out_c, int64_t spatial, int64_t ocp, float* dst) {
+  int64_t sp = 0;
+  for (; sp + 8 <= spatial; sp += 8) {
+    for (int64_t o0 = 0; o0 < ocp; o0 += 8) {
+      Vec8 r[8];
+      for (int k = 0; k < 8; ++k) {
+        r[k] = Vec8{};
+        if (o0 + k < out_c) std::memcpy(&r[k], src + (o0 + k) * spatial + sp, sizeof(Vec8));
+      }
+      transpose8(r);
+      for (int k = 0; k < 8; ++k) std::memcpy(dst + (sp + k) * ocp + o0, &r[k], sizeof(Vec8));
+    }
+  }
+  for (; sp < spatial; ++sp) {
+    for (int64_t o = 0; o < ocp; ++o) dst[sp * ocp + o] = o < out_c ? src[o * spatial + sp] : 0.0f;
+  }
+}
+
+// One dW register tile: column-matrix rows [r0, r0 + R) × out-channel
+// lanes [o0, o0 + G*|V|), the out channels in the vector lanes. Each
+// element starts at its current grad value and takes one multiply-add
+// per output position of every sample, in ascending (sample, oy, ox)
+// order — the chain the beta = 1 GEMM ran over the n*oh*ow axis.
+template <typename V, int R, int G>
+void dw_tile(const BackwardStage& st, int64_t r0, int64_t o0, float* grad) {
+  constexpr int64_t kL = kLanes<V>;
+  const int64_t col_rows = st.g.col_rows(), s = st.g.stride;
+  V acc[R][G];
+  int64_t off[R];
+  for (int j = 0; j < R; ++j) {
+    off[j] = st.offset[r0 + j];
+    for (int q = 0; q < G; ++q) {
+      for (int64_t l = 0; l < kL; ++l) {
+        const int64_t o = o0 + q * kL + l;
+        acc[j][q][l] = o < st.out_c ? grad[o * col_rows + r0 + j] : 0.0f;
+      }
+    }
+  }
+  for (int64_t i = 0; i < st.n; ++i) {
+    const float* xi = st.xs + i * st.sample_floats();
+    const float* d = st.dyt + i * st.spatial * st.ocp + o0;
+    for (int64_t oy = 0; oy < st.oh; ++oy) {
+      const float* xrow = xi + oy * s * st.pw;
+      for (int64_t ox = 0; ox < st.ow; ++ox, d += st.ocp) {
+        const float* xp = xrow + ox * s;
+        V dv[G];
+        for (int q = 0; q < G; ++q) std::memcpy(&dv[q], d + q * kL, sizeof(V));
+        for (int j = 0; j < R; ++j) {
+          const float v = xp[off[j]];
+          for (int q = 0; q < G; ++q) acc[j][q] += v * dv[q];
+        }
+      }
+    }
+  }
+  for (int j = 0; j < R; ++j) {
+    for (int q = 0; q < G; ++q) {
+      for (int64_t l = 0; l < kL; ++l) {
+        const int64_t o = o0 + q * kL + l;
+        if (o < st.out_c) grad[o * col_rows + r0 + j] = acc[j][q][l];
+      }
+    }
+  }
+}
+
+// Rows [r0, r1) of one out-channel group: tiles of R rows, then at most
+// one tile each of R/2, R/4, ... rows for the remainder.
+template <typename V, int R, int G>
+void dw_rows(const BackwardStage& st, int64_t r0, int64_t r1, int64_t o0, float* grad) {
+  for (; r0 + R <= r1; r0 += R) dw_tile<V, R, G>(st, r0, o0, grad);
+  if constexpr (R > 1) dw_rows<V, R / 2, G>(st, r0, r1, o0, grad);
+}
+
+// dW += the column formulation's dY · colsᵀ over a (row block ×
+// out-channel group) grid; every dW element is owned by one tile.
+template <typename V, int G>
+void weight_grad(const BackwardStage& st, float* grad) {
+  constexpr int R = kDwRows<V, G>;
+  const int64_t col_rows = st.g.col_rows();
+  const int64_t row_blocks = (col_rows + R - 1) / R;
+  const int64_t groups = st.ocp / (G * kLanes<V>);
+  parallel_for(0, row_blocks * groups, 1, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t r0 = (t / groups) * R;
+      dw_rows<V, R, G>(st, r0, std::min(col_rows, r0 + R), (t % groups) * G * kLanes<V>, grad);
+    }
+  });
+}
+
+// One dX register tile: samples [i0, i0 + R) × input-channel lanes
+// [c0, c0 + |V|), every pixel of their planes (dx arrives zeroed). Each
+// pixel starts at +0.0 and adds, in col2im's (kh, kw) order, one term
+// per tap that reads it; each term is the out-channel chain of the
+// Wᵀ·dY product, one multiply-add per out channel in ascending order
+// from +0.0.
+template <typename V, int R>
+void dx_tile(const BackwardStage& st, int64_t i0, int64_t c0, float* dx) {
+  constexpr int64_t kL = kLanes<V>;
+  const int64_t in_c = st.g.in_c, plane = st.plane(), sample = st.spatial * st.ocp;
+  const int64_t width = std::min(kL, in_c - c0);
+  const float* dyt = st.dyt + i0 * sample;
+  for (int64_t px = 0; px < plane; ++px) {
+    if (st.first[px] == st.first[px + 1]) continue;  // no tap reads it: dx stays +0
+    V acc[R];
+    for (int j = 0; j < R; ++j) acc[j] = V{};
+    for (int64_t e = st.first[px]; e < st.first[px + 1]; ++e) {
+      const float* w = st.wt + st.taps[e].tap * st.out_c * st.cp + c0;
+      const float* d = dyt + st.taps[e].pos * st.ocp;
+      V t[R];
+      for (int j = 0; j < R; ++j) t[j] = V{};
+      for (int64_t o = 0; o < st.out_c; ++o, w += st.cp) {
+        V wv;
+        std::memcpy(&wv, w, sizeof(V));
+        for (int j = 0; j < R; ++j) t[j] += d[j * sample + o] * wv;
+      }
+      for (int j = 0; j < R; ++j) acc[j] += t[j];
+    }
+    for (int j = 0; j < R; ++j) {
+      float* out = dx + ((i0 + j) * in_c + c0) * plane + px;
+      for (int64_t l = 0; l < width; ++l) out[l * plane] = acc[j][l];
+    }
+  }
+}
+
+// Samples [i0, i1) of one input-channel chunk: tiles of R samples, then
+// at most one tile each of R/2, R/4, ... samples for the remainder.
+template <typename V, int R>
+void dx_samples(const BackwardStage& st, int64_t i0, int64_t i1, int64_t c0, float* dx) {
+  for (; i0 + R <= i1; i0 += R) dx_tile<V, R>(st, i0, c0, dx);
+  if constexpr (R > 1) dx_samples<V, R / 2>(st, i0, i1, c0, dx);
+}
+
+// dX = col2im(Wᵀ·dY) over a (sample block × input-channel chunk) grid;
+// every dX element is owned by one tile.
+template <typename V>
+void input_grad(const BackwardStage& st, float* dx) {
+  constexpr int R = kDxSamples;
+  const int64_t blocks = (st.n + R - 1) / R;
+  const int64_t chunks = st.cp / kLanes<V>;
+  parallel_for(0, blocks * chunks, 1, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t i0 = (t / chunks) * R;
+      dx_samples<V, R>(st, i0, std::min(st.n, i0 + R), (t % chunks) * kLanes<V>, dx);
+    }
+  });
+}
+
+// Stages the backward's operands for input x, gradient dy and weights
+// [out_c, g.col_rows()] in the calling thread's arena, valid until the
+// caller's Workspace::Scope ends. ocp and cp round the channels up to
+// the lanes weight_grad and input_grad run: 8, 16 or two 16s for the
+// out channels, 4, 8 or 16 for the input channels.
+BackwardStage stage_backward(const Tensor& x, const Tensor& dy, const ConvGeometry& g,
+                             const float* weight, int64_t out_c) {
+  const int64_t n = x.size(0), in_c = g.in_c, h = g.in_h, w = g.in_w, k = g.kernel_w;
+  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride, pad = g.pad;
+  const int64_t image_numel = in_c * h * w, plane = h * w, spatial = oh * ow;
+  const int64_t kk = k * k, col_rows = g.col_rows();
+  const int64_t ocp = round_up(out_c, out_c <= 8 ? 8 : out_c <= 16 ? 16 : 32);
+  const int64_t cp = round_up(in_c, in_c <= 4 ? 4 : in_c <= 8 ? 8 : 16);
+  // The zero-bordered plane covers every patch: the padding, plus the
+  // overhang of a kernel larger than the padded input (out_h() truncates
+  // toward zero, so such a geometry still has one output row).
+  const int64_t ph = std::max(h + 2 * pad, (oh - 1) * s + k);
+  const int64_t pw = std::max(w + 2 * pad, (ow - 1) * s + k);
+  const bool bordered = ph != h || pw != w;
+
+  Workspace& ws = Workspace::tls();
+  float* dyt = ws.floats(static_cast<size_t>(n * spatial * ocp));
+  float* xs = bordered ? ws.floats(static_cast<size_t>(n * in_c * ph * pw)) : nullptr;
+  parallel_for(0, n, work_grain(in_c * ph * pw + spatial * ocp), [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      transpose_dy(dy.data() + i * out_c * spatial, out_c, spatial, ocp, dyt + i * spatial * ocp);
+      if (!bordered) continue;
+      float* dst = xs + i * in_c * ph * pw;
+      std::fill(dst, dst + in_c * ph * pw, 0.0f);
+      for (int64_t c = 0; c < in_c; ++c) {
+        for (int64_t y = 0; y < h; ++y) {
+          const float* from = x.data() + i * image_numel + (c * h + y) * w;
+          std::copy(from, from + w, dst + (c * ph + y + pad) * pw + pad);
+        }
       }
     }
   });
+
+  float* wt = ws.floats(static_cast<size_t>(kk * out_c * cp));
+  for (int64_t t = 0; t < kk; ++t) {
+    for (int64_t o = 0; o < out_c; ++o) {
+      float* dst = wt + (t * out_c + o) * cp;
+      for (int64_t c = 0; c < cp; ++c) dst[c] = c < in_c ? weight[(o * in_c + c) * kk + t] : 0.0f;
+    }
+  }
+  auto* offset =
+      static_cast<int64_t*>(ws.get(static_cast<size_t>(col_rows + plane + 1) * sizeof(int64_t)));
+  int64_t* first = offset + col_rows;
+  for (int64_t r = 0; r < col_rows; ++r) {
+    offset[r] = ((r / kk) * ph + (r % kk) / k) * pw + r % k;
+  }
+  auto* taps = static_cast<BackwardStage::Tap*>(
+      ws.get(static_cast<size_t>(plane * kk) * sizeof(BackwardStage::Tap)));
+  first[0] = 0;
+  for (int64_t iy = 0, px = 0; iy < h; ++iy) {
+    for (int64_t ix = 0; ix < w; ++ix, ++px) {
+      int64_t e = first[px];
+      for (int64_t kh = 0; kh < k; ++kh) {
+        const int64_t ny = iy + pad - kh;
+        if (ny < 0 || ny % s != 0 || ny / s >= oh) continue;
+        for (int64_t kw = 0; kw < k; ++kw) {
+          const int64_t nx = ix + pad - kw;
+          if (nx < 0 || nx % s != 0 || nx / s >= ow) continue;
+          taps[e++] = {static_cast<int32_t>(kh * k + kw),
+                       static_cast<int32_t>((ny / s) * ow + nx / s)};
+        }
+      }
+      first[px + 1] = e;
+    }
+  }
+  return {g, n, out_c, oh, ow, spatial, ph, pw, ocp, cp, bordered ? xs : x.data(), offset, dyt,
+          wt, taps, first};
 }
 
 // Byte budget of one staged column block: sized to sit in a core's L2
@@ -125,76 +412,35 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
   const ConvGeometry g = geometry(h, w);
-  const int64_t oh = g.out_h(), ow = g.out_w();
+  const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
   if (grad_out.dim() != 4 || grad_out.size(0) != n || grad_out.size(1) != out_c_ ||
       grad_out.size(2) != oh || grad_out.size(3) != ow) {
     throw std::invalid_argument(name() + ": grad shape " + to_string(grad_out.shape()) +
                                 " does not match output shape " +
                                 to_string({n, out_c_, oh, ow}));
   }
-  const int64_t image_numel = in_c_ * h * w;
-  const int64_t spatial = oh * ow;
-  const int64_t col_rows = g.col_rows();
-  const int64_t ld = n * spatial;
-
   Workspace::Scope scope;
-  Workspace& ws = Workspace::tls();
-  float* dy_cm = ws.floats(static_cast<size_t>(out_c_ * ld));
-  gather_channel_major(grad_out.data(), n, out_c_, spatial, dy_cm);
-
-  {
-    // dW += dY [out_c, n*ohw] * patches [n*ohw, cK2]. The input lowers
-    // straight into patch rows, so the GEMM's B packer copies contiguous
-    // rows; the packed values equal those of im2col's transpose, so dW
-    // is bit-identical to the trans_b product on the column matrix.
-    // Every dW element reduces over the full n*ohw axis — the k axis
-    // spans all samples — so this product cannot join the sample-tiled
-    // grid below without splitting a reduction; it stays the monolithic
-    // block-grid GEMM.
-    Workspace::Scope patch_scope;  // released before the dX grid
-    float* patches = ws.floats(static_cast<size_t>(ld * col_rows));
-    parallel_for(0, n, work_grain(col_rows * spatial), [&](int64_t n0, int64_t n1) {
-      for (int64_t i = n0; i < n1; ++i) {
-        im2row(g, x.data() + i * image_numel, patches + i * spatial * col_rows);
-      }
-    });
-    gemm(false, false, out_c_, col_rows, ld, 1.0f, dy_cm, ld, patches, col_rows, 1.0f,
-         weight_.grad.data(), col_rows);
+  const BackwardStage st = stage_backward(x, grad_out, g, weight_.data.data(), out_c_);
+  if (obs::profiling_enabled()) {
+    obs::count("conv2d.bwd.macs",
+               n * out_c_ * (g.col_rows() * spatial + in_c_ * st.first[st.plane()]));
   }
-
-  // dX: dcols = Wᵀ·dY and its col2im scatter fused over a (sample ×
-  // in-channel-tile) grid. Each tile computes only its own rows and
-  // sample columns of dcols into the thread-local arena and scatters
-  // them while cache-hot, instead of materialising the full [col_rows,
-  // n*ohw] matrix and re-walking it. The out_c reduction stays whole
-  // inside every tile and col2im's per-(sample, channel) accumulation
-  // order is untouched, so dx is bit-identical to the monolithic product
-  // at every thread count.
+  float* grad = weight_.grad.data();
+  if (out_c_ <= 8) {
+    weight_grad<Vec8, 1>(st, grad);
+  } else if (out_c_ <= 16) {
+    weight_grad<Vec16, 1>(st, grad);
+  } else {
+    weight_grad<Vec16, 2>(st, grad);
+  }
   Tensor dx(x.shape());
-  const int64_t kk = kernel_ * kernel_;
-  const int64_t plane = h * w;
-  const Grid2d grid(n, in_c_, 1, 1, ThreadPool::instance().threads());
-  parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
-    Workspace& tws = Workspace::tls();
-    for (int64_t t = t_lo; t < t_hi; ++t) {
-      const Grid2d::Range s = grid.range0(grid.tile0(t));
-      const Grid2d::Range cr = grid.range1(grid.tile1(t));
-      const int64_t tile_ld = (s.hi - s.lo) * spatial;
-      const int64_t rows = (cr.hi - cr.lo) * kk;
-      Workspace::Scope tile_scope;
-      float* dcols = tws.floats(static_cast<size_t>(rows * tile_ld));
-      // op(A) = Wᵀ is [col_rows, out_c] with op(A)[r, p] = W[p*lda + r]:
-      // its row range [cr.lo*kk, cr.hi*kk) is the pointer offset
-      // weight + cr.lo*kk at the same lda.
-      gemm(/*trans_a=*/true, false, rows, tile_ld, out_c_, 1.0f,
-           weight_.data.data() + cr.lo * kk, col_rows, dy_cm + s.lo * spatial, ld, 0.0f, dcols,
-           tile_ld);
-      for (int64_t i = s.lo; i < s.hi; ++i) {
-        col2im_channels_ld(g, dcols + (i - s.lo) * spatial, tile_ld,
-                           dx.data() + i * image_numel + cr.lo * plane, cr.hi - cr.lo);
-      }
-    }
-  });
+  if (in_c_ <= 4) {
+    input_grad<Vec4>(st, dx.data());
+  } else if (in_c_ <= 8) {
+    input_grad<Vec8>(st, dx.data());
+  } else {
+    input_grad<Vec16>(st, dx.data());
+  }
   if (has_bias_) {
     float* bg = bias_.grad.data();
     const float* gp = grad_out.data();

@@ -1,7 +1,7 @@
 // 2-D convolution (NCHW). Weight shape: [out_c, in_c, kh, kw]. The eval
 // forward convolves wide output planes directly from the input
-// (nn/sparse.hpp) and lowers narrow ones onto GEMM; the backward lowers
-// onto GEMM.
+// (nn/sparse.hpp) and lowers narrow ones onto GEMM; the backward
+// convolves directly, with no column matrix or GEMM.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -15,6 +15,32 @@ class Conv2d : public Layer {
          int64_t pad = 0, bool bias = false);
 
   Tensor forward(const Tensor& x, bool train) override;
+
+  /// Adds dW (and the bias gradient) into the parameters' grads and
+  /// returns dX, by two direct kernels over the cached input and dY:
+  ///
+  /// - dW: output channels in the vector lanes, column-matrix rows
+  ///   (c, kh, kw) register-blocked. Each element continues from its
+  ///   current grad value with one multiply-add per output position, in
+  ///   ascending (sample, oy, ox) order, reading zero-bordered input
+  ///   planes — the chain of the beta = 1 GEMM dW += dY · colsᵀ.
+  /// - dX: input channels in the vector lanes, samples register-blocked.
+  ///   Each pixel starts at +0.0 and adds, in col2im's (kh, kw) order,
+  ///   one term per tap that reads it; each term is the out-channel chain
+  ///   of Wᵀ·dY, one multiply-add per out channel from +0.0.
+  ///
+  /// Every element is owned by one tile, so the bits are the same at
+  /// every thread count and SIMD tier, and equal the column
+  /// formulation's (dispatched GEMM + col2im) on finite inputs, with the
+  /// same fused-build caveat as conv2d_eval. The GEMM skipped a +0 dY
+  /// column (dW) or +0 weight column (dX) across its micro-row group;
+  /// the direct kernels multiply every term. So:
+  /// - an Inf or NaN in x reaches dW even where dY is +0 across every
+  ///   channel, and one in dY reaches dX even through a masked (+0)
+  ///   filter, where the GEMM ignored it;
+  /// - a dW element that starts at -0.0 and whose every product is a
+  ///   zero ends +0.0 if any product is +0.0, where the GEMM, skipping
+  ///   those, could keep -0.0 (which its SIMD tier decided).
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Parameter*>& out) override;
   Shape output_sample_shape(const Shape& in) const override;

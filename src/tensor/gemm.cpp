@@ -116,7 +116,7 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, float alp
   // n_ib + ib) so a chunk holding several row blocks of one column
   // panel still packs op(B) once per (jb, p0), exactly like the serial
   // code; only panels split across chunks repack, a ~1/64 overhead.
-  // When this gemm already runs inside a fused-grid tile (conv fwd/bwd),
+  // When this gemm already runs inside a fused-grid tile (conv forward),
   // parallel_for degrades to inline and the whole grid runs serial here.
   const int64_t n_jb = (n + kBlockN - 1) / kBlockN;
   const int64_t n_ib = (m + kBlockM - 1) / kBlockM;

@@ -1,10 +1,10 @@
 // Single-precision matrix multiplication.
 //
-// The convolution and linear layers lower onto this one routine (via
-// im2col), so it is the hot loop of the whole benchmark suite. The kernel
-// is a cache-blocked ikj loop whose innermost loop vectorizes under
-// -O3 -march=native; on the single-core reproduction host it is the
-// difference between benches finishing in seconds vs. minutes.
+// The linear layers and the narrow-plane conv forward (via im2col) lower
+// onto this one routine. The kernel is a cache-blocked ikj loop whose
+// innermost loop vectorizes under -O3 -march=native; on the single-core
+// reproduction host it is the difference between benches finishing in
+// seconds vs. minutes.
 #pragma once
 
 #include <cstdint>

@@ -1,22 +1,13 @@
-// Convolution lowerings for NCHW images onto GEMM. Padding is implicit
-// zero padding. Two layouts of the same patch data exist, and each one
-// serves the products whose operand it makes contiguous:
-//
-// - Column matrix [C*kh*kw, out_h*out_w] (im2col / im2col_ld): one row
-//   per (channel, kernel position), one column per output position. It is
-//   the B operand of Y = W · cols, which the dense eval forward
-//   (conv2d_eval, in cache-sized sample blocks) runs only for outputs
-//   narrower than kDirectMinOutW (8) columns; wider outputs and the CSR
-//   eval conv read their input planes directly (nn/sparse). col2im /
-//   col2im_ld / col2im_channels_ld are its adjoint: Conv2d's backward
-//   scatters dcols = Wᵀ·dY back into dX with col2im_channels_ld.
-//
-// - Patch rows [out_h*out_w, C*kh*kw] (im2row): the transpose, one row
-//   per output position. Conv2d's backward lowers its cached input into
-//   this layout for the weight gradient dW += dY · patches, whose B
-//   operand then packs contiguous rows instead of one strided load per
-//   float. The values match im2col's element for element, so the GEMM
-//   packs, and accumulates, exactly the same numbers.
+// Convolution lowering of NCHW images onto GEMM. Padding is implicit
+// zero padding. The column matrix [C*kh*kw, out_h*out_w] (im2col /
+// im2col_ld) has one row per (channel, kernel position) and one column
+// per output position. It is the B operand of Y = W · cols, which the
+// dense eval forward (conv2d_eval, in cache-sized sample blocks) runs only
+// for outputs narrower than kDirectMinOutW (8) columns. Wider outputs, the
+// CSR eval conv and Conv2d's backward read their input planes directly
+// (nn/conv2d, nn/sparse) and build no column matrix. col2im / col2im_ld
+// are the lowering's adjoint scatter; the direct backward computes dX in
+// the order col2im would accumulate Wᵀ·dY.
 #pragma once
 
 #include <cstdint>
@@ -50,25 +41,5 @@ void col2im(const ConvGeometry& g, const float* cols, float* image);
 /// block of images becomes one [col_rows, n*col_cols] GEMM operand.
 void im2col_ld(const ConvGeometry& g, const float* image, float* cols, int64_t ld);
 void col2im_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* image);
-
-/// Serial channel-range col2im for fused-grid tiles whose caller owns the
-/// parallelism: scatters `channels` consecutive channels' column rows
-/// into their image planes. `cols` points at the tile's first row — the
-/// (first channel, kh=0, kw=0) row — and `image` at the first channel's
-/// plane, so the tile is self-contained and geometry-relative. Each
-/// kernel offset's in-bounds output span is computed once per call, so
-/// the inner loops are plain (strided) adds; every pixel still
-/// accumulates in (c, kh, kw, y, x) order.
-void col2im_channels_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* image,
-                        int64_t channels);
-
-/// Serial patch-row lowering of one image: rows is [col_cols, col_rows]
-/// contiguous, row y*out_w + x holding the (c, kh, kw) patch under output
-/// position (y, x) — the transpose of im2col. Consecutive images' rows
-/// stack, so image i of a batch starts at rows + i * col_cols * col_rows.
-/// A padded geometry first copies the image into a zero-bordered plane
-/// stack in the calling thread's arena, so each patch segment is a plain
-/// kernel_w-float copy.
-void im2row(const ConvGeometry& g, const float* image, float* rows);
 
 }  // namespace shrinkbench

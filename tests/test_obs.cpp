@@ -284,10 +284,11 @@ TEST(A_ZeroOverhead, HotPathsNeverConstructProfilerWhenDisabled) {
     GTEST_SKIP() << "SB_PROF/SB_TRACE set in the environment";
   }
   // Drive the instrumented hot paths for real — gemm (counters), conv
-  // forward/backward (spans + counters + im2col/col2im counters), the
-  // workspace arena (grow counter + gauges) — and assert none of their
-  // instrumentation touched the singleton. This is the regression guard
-  // for "profiling off must be truly zero-overhead on the hot loop".
+  // forward/backward (spans + counters, the backward's conv2d.bwd.macs
+  // among them), the workspace arena (grow counter + gauges) — and assert
+  // none of their instrumentation touched the singleton. This is the
+  // regression guard for "profiling off must be truly zero-overhead on the
+  // hot loop".
   Rng rng(3);
   Tensor a({9, 17}), b({17, 5});
   rng.fill_normal(a, 0, 1);
@@ -452,6 +453,27 @@ TEST_F(ProfilerFixture, CountersGaugesHistogramsAccumulate) {
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 3.0);
   EXPECT_DOUBLE_EQ(h.mean(), 2.0);
+}
+
+TEST_F(ProfilerFixture, ConvBackwardCountsItsMultiplyAdds) {
+  // 2 -> 3 channels, 3x3, padding 1, two 6x6 samples. dW runs one
+  // multiply-add per (out channel, column-matrix row, output position),
+  // padding taps included: 2 * 3 * 18 * 36. dX runs one per (input
+  // channel, out channel) for each in-range (pixel, tap) pair, 16 per
+  // axis: 2 * 2 * 3 * 16 * 16. The backward runs no GEMM.
+  Conv2d conv("c", 2, 3, 3, 1, 1, false);
+  Rng rng(2);
+  kaiming_normal(conv.weight().data, rng);
+  Tensor x({2, 2, 6, 6}), dy({2, 3, 6, 6});
+  rng.fill_normal(x, 0, 1);
+  rng.fill_normal(dy, 0, 1);
+  conv.forward(x, true);
+  obs::Profiler::instance().reset();
+  conv.backward(dy);
+  const auto snap = obs::Profiler::instance().snapshot();
+  EXPECT_EQ(snap.counters.at("conv2d.bwd.macs"), 2 * 3 * 18 * 36 + 2 * 2 * 3 * 16 * 16);
+  EXPECT_EQ(snap.counters.count("gemm.flops"), 0u);
+  EXPECT_EQ(snap.counters.count("col2im.elements"), 0u);
 }
 
 TEST_F(ProfilerFixture, TraceJsonIsWellFormedAndContainsSpans) {

@@ -24,7 +24,10 @@
 #include "data/loader.hpp"
 #include "models/zoo.hpp"
 #include "nn/checkpoint.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/flatten.hpp"
 #include "nn/init.hpp"
+#include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "obs/io.hpp"
 #include "obs/log.hpp"
@@ -845,6 +848,60 @@ TEST(TrainAnomaly, SkipBatchDropsTheBatchAndFinishes) {
   EXPECT_EQ(hist.rollbacks, 0);
   EXPECT_EQ(static_cast<int>(hist.epochs.size()), opts.epochs);
   EXPECT_TRUE(std::isfinite(hist.epochs.back().train_loss));
+}
+
+TEST(TrainAnomaly, SkipBatchDropsANonFiniteConvGradient) {
+  // A dead, pruned input channel hides an Inf from the forward — the
+  // narrow conv's GEMM skips its all-+0 weight columns, so the loss stays
+  // finite — but the direct conv backward multiplies every term, so the
+  // Inf reaches dW (conv2d.hpp's non-finite contract). The gradient check
+  // must see it and drop that one batch per epoch. Channel 1 reads +0
+  // everywhere else, so its pruned weights get ±0 gradients and stay +0
+  // through every optimizer step (a -0.0 weight would not be skipped).
+  SyntheticSpec spec = ckpt_spec();
+  spec.channels = 2;
+  spec.height = spec.width = 4;
+  spec.num_classes = 4;
+  DatasetBundle bundle = make_synthetic(spec);
+  Tensor& images = bundle.train.images;
+  for (int64_t i = 0; i < images.size(0); ++i) {
+    std::fill(images.data() + (i * 2 + 1) * 16, images.data() + (i * 2 + 2) * 16, 0.0f);
+  }
+  images(5, 1, 1, 2) = std::numeric_limits<float>::infinity();
+  Model model("m");
+  model.emplace<Conv2d>("conv", 2, 4, 3, 1, 1, false);
+  model.emplace<Flatten>("flatten");
+  model.emplace<Linear>("fc", 4 * 4 * 4, 4, true, /*is_classifier=*/true);
+  Rng rng(3);
+  init_model(model, rng);
+  auto& conv = static_cast<Conv2d&>(model[0]);
+  ASSERT_LT(conv.output_sample_shape({2, 4, 4})[2], kDirectMinOutW);
+  for (int64_t o = 0; o < 4; ++o) {
+    for (int64_t k = 0; k < 9; ++k) {
+      conv.weight().mask.data()[(o * 2 + 1) * 9 + k] = 0.0f;
+      conv.weight().data.data()[(o * 2 + 1) * 9 + k] = 0.0f;
+    }
+  }
+  Tensor one({1, 2, 4, 4});
+  std::copy(images.data() + 5 * 32, images.data() + 6 * 32, one.data());
+  const Tensor logits = model.forward(one, /*train=*/true);
+  for (int64_t j = 0; j < logits.numel(); ++j) ASSERT_TRUE(std::isfinite(logits.data()[j]));
+
+  TrainOptions opts = anomaly_train_options();
+  opts.anomaly_policy = AnomalyPolicy::SkipBatch;
+  obs::set_profiling_enabled(true);
+  obs::Profiler::instance().reset();
+  const TrainHistory hist = train_model(model, bundle, opts);
+  EXPECT_EQ(counter("train.anomaly.grad"), opts.epochs);
+  EXPECT_EQ(counter("train.anomaly.loss"), 0);
+  obs::set_profiling_enabled(false);
+  EXPECT_EQ(hist.anomalies, opts.epochs);
+  EXPECT_EQ(hist.skipped_batches, opts.epochs);
+  EXPECT_EQ(static_cast<int>(hist.epochs.size()), opts.epochs);
+  EXPECT_TRUE(std::isfinite(hist.epochs.back().train_loss));
+  for (const Parameter* p : parameters_of(model)) {
+    for (int64_t j = 0; j < p->numel(); ++j) EXPECT_TRUE(std::isfinite(p->data.data()[j]));
+  }
 }
 
 TEST(TrainAnomaly, RollbackRestoresLastGoodAndHalvesLr) {

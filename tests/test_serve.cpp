@@ -5,9 +5,10 @@
 // dispatches at once, requests queued while it is busy form one batch,
 // lossless drain), parallel CSR matmul determinism, steady-state zero
 // arena growth in every exec mode, and the conv lowerings against their
-// column formulations (patch rows, backward, blocked eval, the direct
-// CSR conv, the direct dense conv) plus the fused conv + ReLU epilogues,
-// and the dense direct path's rule that it takes every tap.
+// column formulations (the direct backward, blocked eval, the direct CSR
+// conv, the direct dense conv) plus the fused conv + ReLU epilogues, and
+// the direct paths' rule that they take every term, non-finite ones
+// included.
 //
 // Registered in CMake under SB_THREADS={1,2,4} as well as the default, so
 // every parity assertion here doubles as a determinism check: compiled
@@ -408,41 +409,52 @@ bool same_bits(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-TEST(ConvLowering, PatchRowsAreTransposedColumns) {
-  // im2row must reproduce im2col's values element for element, so the
-  // weight-gradient GEMM packs exactly the numbers it packed before.
-  Rng rng(41);
-  for (const int64_t kernel : {1, 3, 5}) {
-    for (const int64_t stride : {1, 2, 3}) {
-      for (const int64_t pad : {0, 1, 2}) {
-        // Non-square planes, and a 2x3 plane smaller than a 5x5 kernel
-        // plus padding. out_h() truncates toward zero, so e.g. a 3x3
-        // kernel at stride 2 without padding still gets one output row
-        // there, whose patch overhangs the image.
-        for (const auto& [h, w] : {std::pair<int64_t, int64_t>{5, 7}, {7, 5}, {2, 3}}) {
-          const ConvGeometry g{2, h, w, kernel, kernel, stride, pad};
-          if (g.out_h() <= 0 || g.out_w() <= 0) continue;
-          const int64_t n = 2, spatial = g.col_cols(), col_rows = g.col_rows();
-          const int64_t ld = n * spatial, image = g.in_c * h * w;
-          Tensor x({n, g.in_c, h, w});
-          rng.fill_normal(x, 0, 1);
-          Tensor cols({col_rows, ld}), rows({ld, col_rows});
-          for (int64_t i = 0; i < n; ++i) {
-            im2col_ld(g, x.data() + i * image, cols.data() + i * spatial, ld);
-            im2row(g, x.data() + i * image, rows.data() + i * spatial * col_rows);
-          }
-          int64_t mismatches = 0;
-          for (int64_t r = 0; r < ld; ++r) {
-            for (int64_t k = 0; k < col_rows; ++k) {
-              mismatches += rows(r, k) != cols(k, r);
-            }
-          }
-          EXPECT_EQ(mismatches, 0) << "kernel " << kernel << " stride " << stride << " pad "
-                                   << pad << " plane " << h << "x" << w;
-        }
-      }
-    }
+// Elements whose bits differ, where two NaNs count as equal: which NaN
+// operand a multiply-add returns depends on the instruction's operand
+// order, so NaN payloads are not part of the kernels' contract.
+int64_t bit_mismatches(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return std::max<int64_t>(a.numel(), 1);
+  int64_t bad = 0;
+  for (int64_t k = 0; k < a.numel(); ++k) {
+    const float u = a.data()[k], v = b.data()[k];
+    bad += !(std::isnan(u) && std::isnan(v)) && std::memcmp(&u, &v, sizeof(float)) != 0;
   }
+  return bad;
+}
+
+// Whether this build contracts a*b + c into one fused multiply-add, as the
+// default Release flags (-O3 -march=native) do on an FMA host. Then every
+// GEMM tier and the direct convs run the same fused chain. Otherwise the
+// direct convs and the scalar tier multiply and add separately, while the
+// avx2/avx512 tiers still fuse through their intrinsics, so the direct
+// paths are held to the scalar tier's arithmetic.
+#if defined(__FMA__) && defined(__OPTIMIZE__)
+constexpr bool kFusedBuild = true;
+#else
+constexpr bool kFusedBuild = false;
+#endif
+
+// C = op(A)·op(B) + beta·C, beta 0 or 1: the dispatched gemm in a fused
+// build, else the scalar block kernel on op(A) and op(B) copied out
+// row-major — the arithmetic the direct kernels must reproduce.
+void reference_product(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+                       const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
+                       float* c, int64_t ldc) {
+  if (kFusedBuild) {
+    gemm(trans_a, trans_b, m, n, k, 1.0f, a, lda, b, ldb, beta, c, ldc);
+    return;
+  }
+  std::vector<float> pa(static_cast<size_t>(m * k)), pb(static_cast<size_t>(k * n));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t p = 0; p < k; ++p) pa[i * k + p] = trans_a ? a[p * lda + i] : a[i * lda + p];
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    for (int64_t j = 0; j < n; ++j) pb[p * n + j] = trans_b ? b[j * ldb + p] : b[p * ldb + j];
+  }
+  if (beta == 0.0f) {
+    for (int64_t i = 0; i < m; ++i) std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+  }
+  simd::block_kernel(simd::Level::Scalar)(m, n, k, pa.data(), k, pb.data(), n, c, ldc);
 }
 
 struct ConvGrads {
@@ -450,11 +462,12 @@ struct ConvGrads {
 };
 
 // Conv backward in the column formulation: dW from the column matrix via
-// the trans_b GEMM, dX from the full dcols product scattered with a
-// col2im that bounds-tests every element. Same reductions in the same
-// order as Conv2d::backward, so the layer must match it bit for bit.
+// the trans_b GEMM, starting from dw0 (nullptr: zeros), dX from the full
+// dcols product scattered with a col2im that bounds-tests every element.
+// Same reductions in the same order as Conv2d::backward, so the layer
+// must match it bit for bit.
 ConvGrads column_backward(const Tensor& x, const Tensor& dy, const Tensor& weight,
-                          const ConvGeometry& g, int64_t out_c) {
+                          const ConvGeometry& g, int64_t out_c, const Tensor* dw0 = nullptr) {
   const int64_t n = x.size(0), spatial = g.col_cols(), col_rows = g.col_rows();
   const int64_t ld = n * spatial, image = g.in_c * g.in_h * g.in_w;
   const int64_t ow = g.out_w();
@@ -468,11 +481,11 @@ ConvGrads column_backward(const Tensor& x, const Tensor& dy, const Tensor& weigh
       std::copy(src, src + spatial, dy_cm.data() + c * ld + i * spatial);
     }
   }
-  ConvGrads r{Tensor(weight.shape()), Tensor({out_c}), Tensor(x.shape())};
-  gemm(false, /*trans_b=*/true, out_c, col_rows, ld, 1.0f, dy_cm.data(), ld, cols.data(), ld,
-       1.0f, r.dw.data(), col_rows);
-  gemm(/*trans_a=*/true, false, col_rows, ld, out_c, 1.0f, weight.data(), col_rows, dy_cm.data(),
-       ld, 0.0f, dcols.data(), ld);
+  ConvGrads r{dw0 != nullptr ? *dw0 : Tensor(weight.shape()), Tensor({out_c}), Tensor(x.shape())};
+  reference_product(false, /*trans_b=*/true, out_c, col_rows, ld, dy_cm.data(), ld, cols.data(),
+                    ld, 1.0f, r.dw.data(), col_rows);
+  reference_product(/*trans_a=*/true, false, col_rows, ld, out_c, weight.data(), col_rows,
+                    dy_cm.data(), ld, 0.0f, dcols.data(), ld);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t row = 0; row < col_rows; ++row) {
       const int64_t c = row / (g.kernel_h * g.kernel_w);
@@ -523,6 +536,153 @@ TEST(ConvLowering, BackwardBitMatchesColumnFormulation) {
             EXPECT_TRUE(same_bits(conv.bias()->grad, ref.db)) << "bias at " << at;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(ConvLowering, DirectBackwardBitMatchesColumnFormulation) {
+  // Generated geometries: channel counts off the vector widths, kernels
+  // 1/3/5, strides 1/2/3, padding up to one past k/2 (taps that read only
+  // padding included), planes 1-20, batches 1/7/64. Weights hold masked
+  // +0 entries and -0.0, dY holds -0.0 and positions that are +0 across
+  // every channel (the column-skip case of the GEMM the reference runs),
+  // and the weight gradient starts from nonzero values and -0.0, so dW
+  // must continue each element's chain from its current value.
+  Rng rng(2202);
+  const int64_t channels[] = {1, 3, 5, 8, 17, 33};
+  const int64_t batches[] = {1, 7, 64};
+  const auto pick = [&](int64_t lo, int64_t hi) { return lo + rng.randint(hi - lo + 1); };
+  int64_t geometries = 0, zero_chains = 0;
+  for (const int64_t kernel : {1, 3, 5}) {
+    for (const int64_t stride : {1, 2, 3}) {
+      for (int64_t pad = 0; pad <= kernel / 2 + 1; ++pad) {
+        for (int draw = 0; draw < 6; ++draw) {
+          const int64_t n = batches[draw % 3];
+          // Batch 64 keeps to planes up to 8, so the reference's column
+          // matrices stay a few MB.
+          const int64_t max_plane = n == 64 ? 8 : 20;
+          const int64_t in_c = channels[pick(0, 5)], out_c = channels[pick(0, 5)];
+          const int64_t h = pick(1, max_plane), w = pick(1, max_plane);
+          const ConvGeometry g{in_c, h, w, kernel, kernel, stride, pad};
+          if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+          ++geometries;
+          const bool bias = draw % 2 == 1;
+          Conv2d conv("c", in_c, out_c, kernel, stride, pad, bias);
+          Tensor& weight = conv.weight().data;
+          rng.fill_normal(weight, 0, 1);
+          for (float& v : weight.flat()) {
+            if (rng.bernoulli(0.3)) v = rng.bernoulli(0.9) ? 0.0f : -0.0f;
+          }
+          Tensor& dw = conv.weight().grad;
+          rng.fill_normal(dw, 0, 1);
+          for (float& v : dw.flat()) {
+            if (rng.bernoulli(0.5)) v = -0.0f;
+          }
+          const Tensor dw0 = dw;
+          Tensor x({n, in_c, h, w});
+          rng.fill_normal(x, 0, 1);
+          for (float& v : x.flat()) {
+            if (rng.bernoulli(0.05)) v = -0.0f;
+          }
+          conv.forward(x, /*train=*/true);
+          const int64_t spatial = g.col_cols();
+          Tensor dy({n, out_c, g.out_h(), g.out_w()});
+          rng.fill_normal(dy, 0, 1);
+          for (float& v : dy.flat()) {
+            if (rng.bernoulli(0.05)) v = -0.0f;
+          }
+          for (int64_t i = 0; i < n; ++i) {
+            for (int64_t sp = 0; sp < spatial; ++sp) {
+              if (!rng.bernoulli(0.25)) continue;
+              for (int64_t o = 0; o < out_c; ++o) dy.data()[(i * out_c + o) * spatial + sp] = 0.0f;
+            }
+          }
+          const Tensor dx = conv.backward(dy);
+          const ConvGrads ref = column_backward(x, dy, weight, g, out_c, &dw0);
+          const std::string at = "kernel " + std::to_string(kernel) + " stride " +
+                                 std::to_string(stride) + " pad " + std::to_string(pad) + " in " +
+                                 std::to_string(in_c) + "x" + std::to_string(h) + "x" +
+                                 std::to_string(w) + " out_c " + std::to_string(out_c) +
+                                 " batch " + std::to_string(n);
+          EXPECT_EQ(bit_mismatches(dx, ref.dx), 0) << "dX at " << at;
+          // The one difference the contract (conv2d.hpp) allows: a dW
+          // element that starts at -0.0 and whose every product is a zero
+          // ends +0 on the direct path, which adds the +0 products the
+          // GEMM skipped, where the GEMM kept -0.0.
+          int64_t dw_bad = 0;
+          for (int64_t k = 0; k < dw.numel(); ++k) {
+            const float got = dw.data()[k], want = ref.dw.data()[k], init = dw0.data()[k];
+            const bool from_neg_zero = init == 0.0f && std::signbit(init);
+            zero_chains += from_neg_zero && got == 0.0f && !std::signbit(got);
+            if (std::memcmp(&got, &want, sizeof(float)) == 0) continue;
+            dw_bad += !(from_neg_zero && got == 0.0f && !std::signbit(got) && want == 0.0f &&
+                        std::signbit(want));
+          }
+          EXPECT_EQ(dw_bad, 0) << "dW at " << at;
+          if (bias) {
+            EXPECT_EQ(bit_mismatches(conv.bias()->grad, ref.db), 0) << "bias at " << at;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(geometries, 120);
+  // Taps that read only padding make all-zero chains from -0.0, so the
+  // allowance above is reachable. Whether the reference kept -0.0 there
+  // depends on which products its tier's kernel skipped.
+  EXPECT_GT(zero_chains, 0);
+}
+
+TEST(ConvLowering, DirectBackwardPropagatesNonFinite) {
+  // The direct backward multiplies every term, +0 ones included (the
+  // contract in conv2d.hpp): an Inf input under output positions whose
+  // dY is +0 across every channel still poisons the dW entries that read
+  // it, and a NaN dY under an all-+0 (masked) filter still reaches dX.
+  const int64_t in_c = 2, out_c = 4, n = 2, plane = 6;
+  Conv2d conv("c", in_c, out_c, 3, 1, 1, false);
+  Rng rng(11);
+  rng.fill_uniform(conv.weight().data, 0.5f, 1.5f);
+  Tensor& mask = conv.weight().mask;
+  for (int64_t k = 0; k < in_c * 9; ++k) mask.data()[2 * in_c * 9 + k] = 0.0f;  // filter 2
+  conv.weight().apply_mask();
+  Tensor x({n, in_c, plane, plane});
+  rng.fill_normal(x, 0, 1);
+  x(0, 1, 2, 3) = std::numeric_limits<float>::infinity();
+  conv.forward(x, /*train=*/true);
+  Tensor dy({n, out_c, plane, plane});
+  rng.fill_normal(dy, 0, 1);
+  // Every output position whose window covers input (2, 3) of sample 0.
+  for (int64_t o = 0; o < out_c; ++o) {
+    for (int64_t oy = 1; oy <= 3; ++oy) {
+      for (int64_t ox = 2; ox <= 4; ++ox) dy(0, o, oy, ox) = 0.0f;
+    }
+  }
+  dy(1, 2, 3, 3) = std::numeric_limits<float>::quiet_NaN();
+  const Tensor dx = conv.backward(dy);
+
+  // dW: the NaN in dY (sample 1, filter 2) poisons filter 2's row; the
+  // Inf reaches every tap of input channel 1 in the other rows.
+  const Tensor& dw = conv.weight().grad;
+  for (int64_t o = 0; o < out_c; ++o) {
+    for (int64_t k = 0; k < in_c * 9; ++k) {
+      const float v = dw.data()[o * in_c * 9 + k];
+      if (o == 2 || k >= 9) {
+        EXPECT_TRUE(std::isnan(v)) << "dW(" << o << ", " << k << ") = " << v;
+      } else {
+        EXPECT_TRUE(std::isfinite(v)) << "dW(" << o << ", " << k << ") = " << v;
+      }
+    }
+  }
+  // dX: sample 1's pixels under output (3, 3) are NaN in every channel;
+  // dX never reads x, so sample 0 stays finite.
+  for (int64_t c = 0; c < in_c; ++c) {
+    for (int64_t iy = 0; iy < plane; ++iy) {
+      for (int64_t ix = 0; ix < plane; ++ix) {
+        const bool under = iy >= 2 && iy <= 4 && ix >= 2 && ix <= 4;
+        EXPECT_EQ(std::isnan(dx(1, c, iy, ix)), under) << "dX(1, " << c << ", " << iy << ", "
+                                                       << ix << ")";
+        EXPECT_TRUE(std::isfinite(dx(0, c, iy, ix)));
       }
     }
   }
@@ -603,19 +763,6 @@ Tensor column_csr_conv(const Tensor& x, const ConvGeometry& g, const CsrMatrix& 
     }
   }
   return y;
-}
-
-// Elements whose bits differ, where two NaNs count as equal: which NaN
-// operand a multiply-add returns depends on the instruction's operand
-// order, so NaN payloads are not part of the kernels' contract.
-int64_t bit_mismatches(const Tensor& a, const Tensor& b) {
-  if (a.shape() != b.shape()) return std::max<int64_t>(a.numel(), 1);
-  int64_t bad = 0;
-  for (int64_t k = 0; k < a.numel(); ++k) {
-    const float u = a.data()[k], v = b.data()[k];
-    bad += !(std::isnan(u) && std::isnan(v)) && std::memcmp(&u, &v, sizeof(float)) != 0;
-  }
-  return bad;
 }
 
 // Fills t with normal values sprinkled with NaN, ±Inf and -0.0.
@@ -711,18 +858,6 @@ TEST(ConvLowering, FusedReluBitMatchesUnfused) {
     }
   }
 }
-
-// Whether this build contracts a*b + c into one fused multiply-add, as the
-// default Release flags (-O3 -march=native) do on an FMA host. Then every
-// GEMM tier and the direct conv run the same fused chain. Otherwise the
-// direct conv and the scalar tier multiply and add separately, while the
-// avx2/avx512 tiers still fuse through their intrinsics, so the direct
-// path is held to the scalar tier's arithmetic.
-#if defined(__FMA__) && defined(__OPTIMIZE__)
-constexpr bool kFusedBuild = true;
-#else
-constexpr bool kFusedBuild = false;
-#endif
 
 // The GEMM lowering of the dense eval conv, one sample at a time: im2col,
 // gemm, the bias (either form) and the ReLU — the arithmetic, in the
