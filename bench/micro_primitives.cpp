@@ -121,20 +121,36 @@ void BM_Im2col(benchmark::State& state) {
 }
 BENCHMARK(BM_Im2col);
 
+// The conv benches' args: in channels, out channels, square input plane,
+// batch, stride (3×3 kernel, padding 1). 16 ch 8×8 at batch 32 is the
+// long-standing case; the batch-64 ones are resnet-20's training convs at
+// the synthetic-CIFAR resolution: the stem, the three stages, and the
+// stride-2 stage entry. The 4×4 and 2×2 planes, and the 4×4 output of the
+// stride-2 entry, run the narrow-plane forward.
+void conv_args(benchmark::internal::Benchmark* b) {
+  b->Args({16, 16, 8, 32, 1})
+      ->Args({3, 8, 8, 64, 1})
+      ->Args({8, 8, 8, 64, 1})
+      ->Args({8, 16, 8, 64, 2})
+      ->Args({16, 16, 4, 64, 1})
+      ->Args({32, 32, 2, 64, 1});
+}
+
 void BM_ConvForward(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  sb::Conv2d conv("c", 16, 16, 3, 1, 1, false);
+  const int64_t in_c = state.range(0), out_c = state.range(1), plane = state.range(2);
+  const int64_t batch = state.range(3), stride = state.range(4);
+  sb::Conv2d conv("c", in_c, out_c, 3, stride, 1, false);
   sb::Rng rng(3);
   sb::kaiming_normal(conv.weight().data, rng);
-  sb::Tensor x({batch, 16, 8, 8});
+  sb::Tensor x({batch, in_c, plane, plane});
   rng.fill_normal(x, 0, 1);
   for (auto _ : state) {
     sb::Tensor y = conv.forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(state.iterations() * conv.flops({16, 8, 8}) * batch);
+  state.SetItemsProcessed(state.iterations() * conv.flops({in_c, plane, plane}) * batch);
 }
-BENCHMARK(BM_ConvForward)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_ConvForward)->Apply(conv_args);
 
 // Conv forward across (batch × pool width): the fused (sample ×
 // out-channel-tile) grid must scale with threads even at batch 1, where
@@ -169,10 +185,7 @@ BENCHMARK(BM_ConvForwardMT)
     ->Args({64, 4})
     ->UseRealTime();
 
-// Args: in channels, out channels, square input plane, batch, stride (3×3
-// kernel, padding 1). 16 ch 8×8 at batch 32 is the long-standing case;
-// the batch-64 ones are resnet-20's training convs at the synthetic-CIFAR
-// resolution: the stem, the three stages, and the stride-2 stage entry.
+// Forward plus backward, on conv_args.
 void BM_ConvBackward(benchmark::State& state) {
   const int64_t in_c = state.range(0), out_c = state.range(1), plane = state.range(2);
   const int64_t batch = state.range(3), stride = state.range(4);
@@ -190,13 +203,7 @@ void BM_ConvBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(dx.data());
   }
 }
-BENCHMARK(BM_ConvBackward)
-    ->Args({16, 16, 8, 32, 1})
-    ->Args({3, 8, 8, 64, 1})
-    ->Args({8, 8, 8, 64, 1})
-    ->Args({8, 16, 8, 64, 2})
-    ->Args({16, 16, 4, 64, 1})
-    ->Args({32, 32, 2, 64, 1});
+BENCHMARK(BM_ConvBackward)->Apply(conv_args);
 
 void BM_BatchNormForward(benchmark::State& state) {
   sb::BatchNorm2d bn("bn", 32);

@@ -6,7 +6,6 @@
 
 #include "nn/sparse.hpp"
 #include "obs/profile.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/threadpool.hpp"
 #include "tensor/workspace.hpp"
 
@@ -24,28 +23,78 @@ using Vec16 = float __attribute__((vector_size(64)));
 template <typename V>
 constexpr int64_t kLanes = sizeof(V) / sizeof(float);
 
-// Accumulator rows per register tile of the backward kernels, sized to
+// Accumulator rows per register tile of the direct kernels, sized to
 // fill the vector register file without spilling: 32 registers of any
 // width with AVX-512, 16 ymm registers (a Vec16 takes two) without.
 #if defined(__AVX512F__)
 template <typename V, int G>
 constexpr int kDwRows = G == 1 ? 16 : 12;
 constexpr int kDxSamples = 8;
+template <typename V, int G>
+constexpr int kFwdRows = 8;
 #else
 template <typename V, int G>
 constexpr int kDwRows = sizeof(V) == 64 ? (G == 1 ? 6 : 3) : 12;
 constexpr int kDxSamples = 4;
+template <typename V, int G>
+constexpr int kFwdRows = sizeof(V) == 64 ? 4 / G : 8;
 #endif
 
 int64_t round_up(int64_t v, int64_t m) { return (v + m - 1) / m * m; }
 
+// Out channels rounded up to the lanes the out-channel-lane kernels run:
+// one Vec8, one Vec16 or whole pairs of Vec16s.
+int64_t out_channel_lanes(int64_t out_c) {
+  return round_up(out_c, out_c <= 8 ? 8 : out_c <= 16 ? 16 : 32);
+}
+
+// Each sample's input as zero-bordered [in_c, ph, pw] planes (ph, pw
+// cover the padding and the overhang of a kernel larger than the padded
+// input), `sample` floats apart, so column-matrix row (c, kh, kw) under
+// output (oy, ox) reads data[offset[row] + oy*stride*pw + ox*stride], and
+// a padding tap reads a stored zero, as im2col's zero entries.
+struct InputPlanes {
+  int64_t ph, pw, sample;
+  const float* data;
+  const int64_t* offset;
+};
+
+// Stages x's planes and the per-row offsets in the calling thread's
+// arena, valid until the caller's Workspace::Scope ends. A conv with no
+// border to add reads x in place.
+InputPlanes stage_input(const Tensor& x, const ConvGeometry& g) {
+  const int64_t n = x.size(0), in_c = g.in_c, h = g.in_h, w = g.in_w;
+  const int64_t kh = g.kernel_h, kw = g.kernel_w, kk = kh * kw, s = g.stride, pad = g.pad;
+  // out_h() truncates toward zero, so a kernel larger than the padded
+  // input still has one output row, which reads past the padding.
+  const int64_t ph = std::max(h + 2 * pad, (g.out_h() - 1) * s + kh);
+  const int64_t pw = std::max(w + 2 * pad, (g.out_w() - 1) * s + kw);
+  Workspace& ws = Workspace::tls();
+  auto* offset = static_cast<int64_t*>(ws.get(static_cast<size_t>(g.col_rows()) * sizeof(int64_t)));
+  for (int64_t r = 0; r < g.col_rows(); ++r) {
+    offset[r] = ((r / kk) * ph + (r % kk) / kw) * pw + r % kw;
+  }
+  const int64_t sample = in_c * ph * pw;
+  if (ph == h && pw == w) return {ph, pw, sample, x.data(), offset};
+  float* xs = ws.floats(static_cast<size_t>(n * sample));
+  parallel_for(0, n, work_grain(sample), [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      float* dst = xs + i * sample;
+      std::fill(dst, dst + sample, 0.0f);
+      for (int64_t c = 0; c < in_c; ++c) {
+        for (int64_t y = 0; y < h; ++y) {
+          const float* from = x.data() + ((i * in_c + c) * h + y) * w;
+          std::copy(from, from + w, dst + (c * ph + y + pad) * pw + pad);
+        }
+      }
+    }
+  });
+  return {ph, pw, sample, xs, offset};
+}
+
 // The backward's staged operands, shared read-only by every tile.
 //
-// - xs: each sample's input as zero-bordered [in_c, ph, pw] planes
-//   (ph, pw cover the padding and the overhang of a kernel larger than
-//   the padded input), so column-matrix row (c, kh, kw) under output
-//   (oy, ox) reads xs[offset[row] + oy*stride*pw + ox*stride], and a
-//   padding tap reads a stored zero, as im2col's zero entries.
+// - in: the input planes.
 // - dyt: dY transposed to [N, oh*ow, ocp], one out-channel vector per
 //   output position, lanes past out_c zero.
 // - wt: the weights as [kh*kw, out_c, cp], one input-channel vector per
@@ -58,15 +107,13 @@ struct BackwardStage {
     int32_t tap, pos;
   };
   const ConvGeometry& g;
-  int64_t n, out_c, oh, ow, spatial, ph, pw, ocp, cp;
-  const float* xs;
-  const int64_t* offset;
+  InputPlanes in;
+  int64_t n, out_c, oh, ow, spatial, ocp, cp;
   const float* dyt;
   const float* wt;
   const Tap* taps;
   const int64_t* first;
 
-  int64_t sample_floats() const { return g.in_c * ph * pw; }
   int64_t plane() const { return g.in_h * g.in_w; }
 };
 
@@ -123,7 +170,7 @@ void dw_tile(const BackwardStage& st, int64_t r0, int64_t o0, float* grad) {
   V acc[R][G];
   int64_t off[R];
   for (int j = 0; j < R; ++j) {
-    off[j] = st.offset[r0 + j];
+    off[j] = st.in.offset[r0 + j];
     for (int q = 0; q < G; ++q) {
       for (int64_t l = 0; l < kL; ++l) {
         const int64_t o = o0 + q * kL + l;
@@ -132,10 +179,10 @@ void dw_tile(const BackwardStage& st, int64_t r0, int64_t o0, float* grad) {
     }
   }
   for (int64_t i = 0; i < st.n; ++i) {
-    const float* xi = st.xs + i * st.sample_floats();
+    const float* xi = st.in.data + i * st.in.sample;
     const float* d = st.dyt + i * st.spatial * st.ocp + o0;
     for (int64_t oy = 0; oy < st.oh; ++oy) {
-      const float* xrow = xi + oy * s * st.pw;
+      const float* xrow = xi + oy * s * st.in.pw;
       for (int64_t ox = 0; ox < st.ow; ++ox, d += st.ocp) {
         const float* xp = xrow + ox * s;
         V dv[G];
@@ -248,32 +295,16 @@ BackwardStage stage_backward(const Tensor& x, const Tensor& dy, const ConvGeomet
                              const float* weight, int64_t out_c) {
   const int64_t n = x.size(0), in_c = g.in_c, h = g.in_h, w = g.in_w, k = g.kernel_w;
   const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride, pad = g.pad;
-  const int64_t image_numel = in_c * h * w, plane = h * w, spatial = oh * ow;
-  const int64_t kk = k * k, col_rows = g.col_rows();
-  const int64_t ocp = round_up(out_c, out_c <= 8 ? 8 : out_c <= 16 ? 16 : 32);
+  const int64_t plane = h * w, spatial = oh * ow, kk = k * k;
+  const int64_t ocp = out_channel_lanes(out_c);
   const int64_t cp = round_up(in_c, in_c <= 4 ? 4 : in_c <= 8 ? 8 : 16);
-  // The zero-bordered plane covers every patch: the padding, plus the
-  // overhang of a kernel larger than the padded input (out_h() truncates
-  // toward zero, so such a geometry still has one output row).
-  const int64_t ph = std::max(h + 2 * pad, (oh - 1) * s + k);
-  const int64_t pw = std::max(w + 2 * pad, (ow - 1) * s + k);
-  const bool bordered = ph != h || pw != w;
 
+  const InputPlanes in = stage_input(x, g);
   Workspace& ws = Workspace::tls();
   float* dyt = ws.floats(static_cast<size_t>(n * spatial * ocp));
-  float* xs = bordered ? ws.floats(static_cast<size_t>(n * in_c * ph * pw)) : nullptr;
-  parallel_for(0, n, work_grain(in_c * ph * pw + spatial * ocp), [&](int64_t i0, int64_t i1) {
+  parallel_for(0, n, work_grain(spatial * ocp), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       transpose_dy(dy.data() + i * out_c * spatial, out_c, spatial, ocp, dyt + i * spatial * ocp);
-      if (!bordered) continue;
-      float* dst = xs + i * in_c * ph * pw;
-      std::fill(dst, dst + in_c * ph * pw, 0.0f);
-      for (int64_t c = 0; c < in_c; ++c) {
-        for (int64_t y = 0; y < h; ++y) {
-          const float* from = x.data() + i * image_numel + (c * h + y) * w;
-          std::copy(from, from + w, dst + (c * ph + y + pad) * pw + pad);
-        }
-      }
     }
   });
 
@@ -284,12 +315,7 @@ BackwardStage stage_backward(const Tensor& x, const Tensor& dy, const ConvGeomet
       for (int64_t c = 0; c < cp; ++c) dst[c] = c < in_c ? weight[(o * in_c + c) * kk + t] : 0.0f;
     }
   }
-  auto* offset =
-      static_cast<int64_t*>(ws.get(static_cast<size_t>(col_rows + plane + 1) * sizeof(int64_t)));
-  int64_t* first = offset + col_rows;
-  for (int64_t r = 0; r < col_rows; ++r) {
-    offset[r] = ((r / kk) * ph + (r % kk) / k) * pw + r % k;
-  }
+  auto* first = static_cast<int64_t*>(ws.get(static_cast<size_t>(plane + 1) * sizeof(int64_t)));
   auto* taps = static_cast<BackwardStage::Tap*>(
       ws.get(static_cast<size_t>(plane * kk) * sizeof(BackwardStage::Tap)));
   first[0] = 0;
@@ -309,74 +335,153 @@ BackwardStage stage_backward(const Tensor& x, const Tensor& dy, const ConvGeomet
       first[px + 1] = e;
     }
   }
-  return {g, n, out_c, oh, ow, spatial, ph, pw, ocp, cp, bordered ? xs : x.data(), offset, dyt,
-          wt, taps, first};
+  return {g, in, n, out_c, oh, ow, spatial, ocp, cp, dyt, wt, taps, first};
 }
 
-// Byte budget of one staged column block: sized to sit in a core's L2
-// next to the GEMM's pack buffers, so the product reads the columns
-// from cache rather than from memory.
-constexpr int64_t kConvStageBytes = int64_t{256} << 10;
+// The narrow-plane forward's staged operands, shared read-only by every
+// tile: the input planes; the weights as [col_rows, ocp], one
+// out-channel vector per column-matrix row, lanes past out_c zero; and
+// `at`, where each output position's patch starts in the planes, over
+// the (sample, oy, ox) axis flattened across the batch and padded to
+// whole blocks by repeating the last position.
+struct ForwardStage {
+  const ConvGeometry& g;
+  InputPlanes in;
+  int64_t out_c, spatial, positions, ocp;
+  const float* wt;
+  const int64_t* at;
+  ConvBias bias;
+  bool relu;
+};
 
-// conv2d_eval's staging: walks samples [s.lo, s.hi) of x in consecutive
-// blocks whose column matrix fits kConvStageBytes (at least one sample
-// per block), lowers each block with im2col into the calling thread's
-// arena as [g.col_rows(), ld], ld = (b.hi - b.lo) * g.col_cols(), and
-// calls fn(b, cols, ld) while the block is cache-hot. A block only
-// narrows the product's column range — no reduction is split — so every
-// block size gives the same bits. A geometry with no column rows stages
-// the range as one block.
-template <typename Fn>
-void for_each_stage_block(const Tensor& x, const ConvGeometry& g, Grid2d::Range s, Fn&& fn) {
-  const int64_t spatial = g.col_cols();
-  const int64_t col_rows = g.col_rows();
-  const int64_t image_numel = g.in_c * g.in_h * g.in_w;
-  const int64_t sample_bytes = col_rows * spatial * static_cast<int64_t>(sizeof(float));
-  const int64_t block = sample_bytes == 0
-                            ? std::max<int64_t>(s.hi - s.lo, 1)
-                            : std::max<int64_t>(kConvStageBytes / sample_bytes, 1);
+// Output positions per forward block: one 8×8 register transpose.
+constexpr int64_t kFwdBlock = 8;
+
+ForwardStage stage_forward(const Tensor& x, const ConvGeometry& g, const float* weight,
+                           int64_t out_c, ConvBias bias, bool relu) {
+  const int64_t n = x.size(0), oh = g.out_h(), ow = g.out_w(), s = g.stride;
+  const int64_t col_rows = g.col_rows(), ocp = out_channel_lanes(out_c);
+  const InputPlanes in = stage_input(x, g);
   Workspace& ws = Workspace::tls();
-  for (int64_t lo = s.lo; lo < s.hi; lo += block) {
-    const Grid2d::Range b{lo, std::min(s.hi, lo + block)};
-    const int64_t ld = (b.hi - b.lo) * spatial;
-    Workspace::Scope stage;  // LIFO: reclaimed before the next block
-    float* cols = ws.floats(static_cast<size_t>(col_rows * ld));
-    parallel_for(b.lo, b.hi, work_grain(col_rows * spatial), [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        im2col_ld(g, x.data() + i * image_numel, cols + (i - b.lo) * spatial, ld);
-      }
-    });
-    fn(b, cols, ld);
+  float* wt = ws.floats(static_cast<size_t>(col_rows * ocp));
+  for (int64_t r = 0; r < col_rows; ++r) {
+    for (int64_t o = 0; o < ocp; ++o) wt[r * ocp + o] = o < out_c ? weight[o * col_rows + r] : 0.0f;
+  }
+  const int64_t positions = n * oh * ow;
+  auto* at = static_cast<int64_t*>(
+      ws.get(static_cast<size_t>(round_up(positions, kFwdBlock)) * sizeof(int64_t)));
+  int64_t p = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t oy = 0; oy < oh; ++oy) {
+      for (int64_t ox = 0; ox < ow; ++ox) at[p++] = i * in.sample + (oy * in.pw + ox) * s;
+    }
+  }
+  for (; p % kFwdBlock != 0; ++p) at[p] = at[positions - 1];
+  return {g, in, out_c, oh * ow, positions, ocp, wt, at, bias, relu};
+}
+
+// One forward register tile: output positions at[0, R) × out-channel
+// lanes [o0, o0 + G*|V|), the out channels in the vector lanes, into
+// out. Each output starts at +0.0 and takes one multiply-add per
+// column-matrix row in ascending order — the GEMM lowering's chain.
+template <typename V, int R, int G>
+void fwd_tile(const ForwardStage& st, const int64_t* at, int64_t o0, V (*out)[G]) {
+  constexpr int64_t kL = kLanes<V>;
+  const float* base[R];
+  V acc[R][G];
+  for (int j = 0; j < R; ++j) {
+    base[j] = st.in.data + at[j];
+    for (int q = 0; q < G; ++q) acc[j][q] = V{};
+  }
+  const float* w = st.wt + o0;
+  const int64_t col_rows = st.g.col_rows();
+  for (int64_t r = 0; r < col_rows; ++r, w += st.ocp) {
+    V wv[G];
+    for (int q = 0; q < G; ++q) std::memcpy(&wv[q], w + q * kL, sizeof(V));
+    const int64_t off = st.in.offset[r];
+    for (int j = 0; j < R; ++j) {
+      const float v = base[j][off];
+      for (int q = 0; q < G; ++q) acc[j][q] += v * wv[q];
+    }
+  }
+  for (int j = 0; j < R; ++j) {
+    for (int q = 0; q < G; ++q) out[j][q] = acc[j][q];
   }
 }
 
-// Conv epilogue: writes the y[i, c] planes (y is [N, out_c, spatial])
-// for the given samples and channels from a channel-major product `cm`,
-// in which channel c of sample i starts at
-// cm + (c - channels.lo) * ld + (i - samples.lo) * spatial, adding bias
-// and then, when relu is set, mapping v < 0 to 0 as relu_inplace does.
-void conv_epilogue(const float* cm, int64_t ld, Grid2d::Range samples, Grid2d::Range channels,
-                   int64_t out_c, int64_t spatial, ConvBias bias, bool relu, float* y) {
-  for (int64_t c = channels.lo; c < channels.hi; ++c) {
-    const float* plane = bias.per_position ? bias.data + c * spatial : nullptr;
-    for (int64_t i = samples.lo; i < samples.hi; ++i) {
-      const float* src = cm + (c - channels.lo) * ld + (i - samples.lo) * spatial;
-      float* dst = y + (i * out_c + c) * spatial;
-      if (bias.data == nullptr) {
-        std::copy(src, src + spatial, dst);
-      } else if (plane != nullptr) {
-        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + plane[sp];
-      } else {
-        const float b = bias.data[c];
-        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = src[sp] + b;
+// Writes channel o of the block's positions [p0, p0 + count) (sums holds
+// them in its lanes, p0 at sample i0 and spatial index sp0) to y, after
+// the epilogue: the bias (the channel's, or its per-position plane),
+// then the ReLU when set (v < 0 -> 0, as relu_inplace).
+void store_channel(const ForwardStage& st, int64_t o, const Vec8& sums, int64_t i0, int64_t sp0,
+                   int64_t count, float* y) {
+  const int64_t spatial = st.spatial;
+  Vec8 v = sums;
+  if (st.bias.per_position) {
+    const float* plane = st.bias.data + o * spatial;
+    Vec8 b;
+    for (int64_t j = 0, sp = sp0; j < kFwdBlock; ++j, sp = sp + 1 == spatial ? 0 : sp + 1) {
+      b[j] = plane[sp];
+    }
+    v += b;
+  } else if (st.bias.data != nullptr) {
+    v += st.bias.data[o];
+  }
+  if (st.relu) v = v < Vec8{} ? Vec8{} : v;
+  float* dst = y + (i0 * st.out_c + o) * spatial + sp0;
+  if (count == kFwdBlock && sp0 + kFwdBlock <= spatial) {
+    std::memcpy(dst, &v, sizeof(Vec8));
+    return;
+  }
+  for (int64_t j = 0, sp = sp0; j < count; ++j, ++sp, ++dst) {
+    if (sp == spatial) {  // on to the next sample's plane of channel o
+      sp = 0;
+      dst += (st.out_c - 1) * spatial;
+    }
+    *dst = v[j];
+  }
+}
+
+// One block: positions [p0, p0 + kFwdBlock) × out-channel lanes
+// [o0, o0 + G*|V|), in tiles of R positions, stored through 8×8
+// register transposes as whole runs of one channel's positions.
+template <typename V, int G>
+void fwd_block(const ForwardStage& st, int64_t p0, int64_t o0, float* y) {
+  constexpr int R = kFwdRows<V, G>;
+  V out[kFwdBlock][G];
+  for (int64_t j = 0; j < kFwdBlock; j += R) fwd_tile<V, R, G>(st, st.at + p0 + j, o0, out + j);
+  const int64_t count = std::min(kFwdBlock, st.positions - p0);
+  const int64_t i0 = p0 / st.spatial, sp0 = p0 % st.spatial;
+  for (int q = 0; q < G; ++q) {
+    for (int64_t h = 0; h < kLanes<V>; h += 8) {
+      const int64_t c0 = o0 + q * kLanes<V> + h;
+      if (c0 >= st.out_c) return;
+      Vec8 r[8];
+      for (int j = 0; j < 8; ++j) {
+        std::memcpy(&r[j], reinterpret_cast<const float*>(&out[j][q]) + h, sizeof(Vec8));
       }
-      if (relu) {
-        for (int64_t sp = 0; sp < spatial; ++sp) dst[sp] = dst[sp] < 0.0f ? 0.0f : dst[sp];
+      transpose8(r);
+      for (int64_t k = 0; k < std::min<int64_t>(8, st.out_c - c0); ++k) {
+        store_channel(st, c0 + k, r[k], i0, sp0, count, y);
       }
     }
   }
 }
 
+// y = the conv over a (position block × out-channel group) grid; every
+// output is owned by one tile.
+template <typename V, int G>
+void narrow_conv(const ForwardStage& st, float* y) {
+  constexpr int64_t kGroup = G * kLanes<V>;
+  const int64_t blocks = (st.positions + kFwdBlock - 1) / kFwdBlock;
+  const int64_t groups = st.ocp / kGroup;
+  parallel_for(0, groups * blocks, work_grain(st.g.col_rows() * kFwdBlock * kGroup),
+               [&](int64_t t0, int64_t t1) {
+                 for (int64_t t = t0; t < t1; ++t) {
+                   fwd_block<V, G>(st, (t % blocks) * kFwdBlock, (t / blocks) * kGroup, y);
+                 }
+               });
+}
 }  // namespace
 
 Conv2d::Conv2d(std::string name, int64_t in_c, int64_t out_c, int64_t kernel, int64_t stride,
@@ -504,41 +609,17 @@ ConvGeometry conv_geometry(const std::string& who, const Tensor& x, int64_t in_c
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
                    ConvBias bias, bool relu) {
   if (g.out_w() >= kDirectMinOutW) return conv2d_direct_eval(x, g, weight, out_c, bias, relu);
-  const int64_t n = x.size(0);
-  const int64_t spatial = g.col_cols();
-  const int64_t col_rows = g.col_rows();
-  Tensor y({n, out_c, g.out_h(), g.out_w()});
-
-  // The channel axis splits only when samples alone cannot fill the pool
-  // (the batch-1 serving case a per-sample split starves). Bit-identity:
-  // tile outputs are disjoint y regions, the k reduction stays whole
-  // inside every tile and block, and the block kernel accumulates k in
-  // the same ascending order for any (m, n) subrange — so y matches the
-  // monolithic GEMM bit for bit at every thread count and block size.
-  const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
-  parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
-    Workspace& ws = Workspace::tls();
-    int64_t t = t_lo;
-    while (t < t_hi) {
-      // Tile ids are channel-fastest, so consecutive tiles of one sample
-      // range arrive back to back: stage each block of that range once
-      // and reuse it for every channel tile this chunk owns in the row.
-      const int64_t i0 = grid.tile0(t);
-      const int64_t row_end = std::min(t_hi, (i0 + 1) * grid.tiles1());
-      for_each_stage_block(x, g, grid.range0(i0), [&](Grid2d::Range b, const float* cols,
-                                                      int64_t ld) {
-        for (int64_t u = t; u < row_end; ++u) {
-          const Grid2d::Range cr = grid.range1(grid.tile1(u));
-          Workspace::Scope out_scope;
-          float* out_cm = ws.floats(static_cast<size_t>((cr.hi - cr.lo) * ld));
-          gemm(false, false, cr.hi - cr.lo, ld, col_rows, 1.0f, weight + cr.lo * col_rows,
-               col_rows, cols, ld, 0.0f, out_cm, ld);
-          conv_epilogue(out_cm, ld, b, cr, out_c, spatial, bias, relu, y.data());
-        }
-      });
-      t = row_end;
-    }
-  });
+  Tensor y({x.size(0), out_c, g.out_h(), g.out_w()});
+  if (y.numel() == 0) return y;
+  Workspace::Scope scope;
+  const ForwardStage st = stage_forward(x, g, weight, out_c, bias, relu);
+  if (out_c <= 8) {
+    narrow_conv<Vec8, 1>(st, y.data());
+  } else if (out_c <= 16) {
+    narrow_conv<Vec16, 1>(st, y.data());
+  } else {
+    narrow_conv<Vec16, 2>(st, y.data());
+  }
   return y;
 }
 

@@ -1,7 +1,8 @@
 // 2-D convolution (NCHW). Weight shape: [out_c, in_c, kh, kw]. The eval
-// forward convolves wide output planes directly from the input
-// (nn/sparse.hpp) and lowers narrow ones onto GEMM; the backward
-// convolves directly, with no column matrix or GEMM.
+// forward and the backward convolve directly from the input planes, with
+// no column matrix or GEMM: wide output planes through nn/sparse.hpp's
+// row-vector kernel, narrow ones and both gradients with the channels in
+// the vector lanes.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -84,34 +85,39 @@ struct ConvBias {
 /// axis is the only parallelism left.
 constexpr int64_t kMinOcPerTile = 4;
 
-/// Narrowest output plane (in columns) that conv2d_eval convolves
-/// directly. Below it the direct kernel's vectors run mostly empty and
-/// the staged GEMM lowering is faster.
+/// Narrowest output plane (in columns) that conv2d_eval convolves with
+/// the row-vector kernel. Below it those vectors run mostly empty, and
+/// putting the out channels in the lanes fills them instead.
 constexpr int64_t kDirectMinOutW = 8;
 
 /// Eval convolution of x ([N, in_c, H, W], geometry g): weight is
 /// [out_c, g.col_rows()] row-major, and the epilogue adds the bias, then
 /// applies the ReLU when relu is set (v < 0 -> 0, as relu_inplace).
-/// Returns [N, out_c, oh, ow]. Two lowerings share the fused (sample ×
-/// out-channel-tile) grid, chosen by geometry alone:
+/// Returns [N, out_c, oh, ow]. Two direct kernels, chosen by geometry
+/// alone, each taking every tap of every weight row, +0 weights included:
 ///
 /// - g.out_w() >= kDirectMinOutW: conv2d_direct_eval (nn/sparse.hpp)
 ///   convolves straight from zero-bordered phase planes of each sample,
-///   taking every tap of every weight row.
-/// - narrower outputs: each tile walks its samples in cache-sized blocks
-///   (for_each_stage_block) and runs its weight rows' sub-GEMM on each
-///   block's im2col columns while they are cache-hot.
+///   output columns in the vector lanes, over the fused (sample ×
+///   out-channel-tile) grid.
+/// - narrower outputs: output channels in the vector lanes (8, 16 or
+///   pairs of 16), output positions flattened over (sample, oy, ox) and
+///   register-blocked 8 at a time, reading zero-bordered input planes
+///   (x itself when the conv adds no border), over a (position block ×
+///   out-channel group) grid; results are stored through 8×8 register
+///   transposes.
 ///
-/// Both start each output at +0.0 and take one fused multiply-add per
-/// column-matrix row in ascending order, so for finite inputs they give
-/// the same bits, at every thread count and SIMD tier. (That needs a
-/// build that fuses a*b + c, as the default -O3 -march=native does on an
-/// FMA host. A build that does not fuse matches only the scalar GEMM
-/// tier; the avx2/avx512 tiers always fuse.) They differ on non-finite
-/// inputs: the GEMM skips a column whose weights are +0 across its
-/// micro-row group, and the direct path does not. So an Inf or NaN input
-/// under such a column yields NaN on the direct path, and the GEMM
-/// ignores it.
+/// Both start each output at +0.0 and take one multiply-add per
+/// column-matrix row in ascending order — the chain of the GEMM lowering
+/// (im2col, then W · cols). Every output is owned by one tile, so the
+/// bits are the same at every thread count and SIMD tier and, on finite
+/// inputs, equal the lowering's. In a build that fuses a*b + c (the default -O3
+/// -march=native on an FMA host) that is the dispatched GEMM at any tier;
+/// in one that does not, the kernels multiply and add separately, as the
+/// scalar GEMM tier does, while the avx2/avx512 tiers still fuse. The
+/// GEMM skips a column whose weights are +0 across its micro-row group,
+/// so on non-finite inputs the two differ: an Inf or NaN under a +0
+/// weight yields NaN here, and the GEMM ignores it.
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
                    ConvBias bias, bool relu);
 

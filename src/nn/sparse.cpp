@@ -274,9 +274,9 @@ Tensor direct_conv(const Tensor& x, const ConvGeometry& g, int64_t out_c, Direct
   // keeps those (never stored) lanes inside the allocation.
   const int64_t stage_floats = pp.floats(g) + static_cast<int64_t>(sizeof(Vec16) / sizeof(float));
   const bool narrow = ow <= static_cast<int64_t>(sizeof(Vec8) / sizeof(float));
-  // Fused (sample × out-channel-tile) grid, as the GEMM lowering's: every
-  // output plane is computed whole by one tile, so y is bit-identical at
-  // every thread count.
+  // Fused (sample × out-channel-tile) grid: every output plane is
+  // computed whole by one tile, so y is bit-identical at every thread
+  // count.
   const Grid2d grid(n, out_c, 1, kMinOcPerTile, ThreadPool::instance().threads());
   parallel_for(0, grid.tiles(), 1, [&](int64_t t_lo, int64_t t_hi) {
     Workspace::Scope tile_scope;

@@ -30,11 +30,11 @@
 // forward(x, /*train=*/false) runs: conv2d_eval and linear_eval for Dense
 // and Shrunk, conv2d_csr_eval and linear_csr_eval (nn/sparse) for Csr,
 // and the BN, ReLU and pool kernels for every mode. conv2d_eval picks
-// its lowering from the geometry alone — the direct convolution that
-// conv2d_csr_eval also runs for output planes at least 8 columns wide,
-// im2col + GEMM for narrower ones — so Dense and the eager forward
-// always take the same path, and Shrunk's per-position border biases
-// ride the direct path's epilogue too.
+// its direct kernel from the geometry alone — the row-vector convolution
+// that conv2d_csr_eval also runs for output planes at least 8 columns
+// wide, out channels in the vector lanes for narrower ones — so Dense
+// and the eager forward always take the same path, and Shrunk's
+// per-position border biases ride either kernel's epilogue.
 //
 // Fusion rule: in Csr and Shrunk, a BatchNorm2d directly after a conv
 // folds into its weights and bias, and a ReLU directly after the conv

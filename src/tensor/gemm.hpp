@@ -1,7 +1,7 @@
 // Single-precision matrix multiplication.
 //
-// The linear layers and the narrow-plane conv forward (via im2col) lower
-// onto this one routine. The kernel is a cache-blocked ikj loop whose
+// The linear layers run on this one routine (the conv kernels are direct
+// and call no GEMM). The kernel is a cache-blocked ikj loop whose
 // innermost loop vectorizes under -O3 -march=native; on the single-core
 // reproduction host it is the difference between benches finishing in
 // seconds vs. minutes.

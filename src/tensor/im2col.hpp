@@ -1,13 +1,13 @@
 // Convolution lowering of NCHW images onto GEMM. Padding is implicit
 // zero padding. The column matrix [C*kh*kw, out_h*out_w] (im2col /
 // im2col_ld) has one row per (channel, kernel position) and one column
-// per output position. It is the B operand of Y = W · cols, which the
-// dense eval forward (conv2d_eval, in cache-sized sample blocks) runs only
-// for outputs narrower than kDirectMinOutW (8) columns. Wider outputs, the
-// CSR eval conv and Conv2d's backward read their input planes directly
-// (nn/conv2d, nn/sparse) and build no column matrix. col2im / col2im_ld
-// are the lowering's adjoint scatter; the direct backward computes dX in
-// the order col2im would accumulate Wᵀ·dY.
+// per output position; Y = W · cols is the conv. No src/ code lowers
+// through it: every conv forward and backward reads its input planes
+// directly (nn/conv2d, nn/sparse), in the order this lowering
+// accumulates. im2col is the tests' reference formulation and the
+// BM_Im2col host probe; col2im / col2im_ld are its adjoint scatter, the
+// order the direct backward's dX follows. ConvGeometry is the geometry
+// every conv kernel shares.
 #pragma once
 
 #include <cstdint>

@@ -135,7 +135,7 @@ inline int64_t work_grain(int64_t per_index_elems) {
 /// The conv hot paths parallelize over samples, which starves the pool
 /// at batch sizes below the thread count (the batch-1 serving case). A
 /// Grid2d splits axis 0 (samples) first — it is the cheap axis, since
-/// per-tile staging such as im2col is shared by everything in the tile —
+/// per-tile staging such as a sample's bordered planes is shared by everything in the tile —
 /// and only splits axis 1 (output channels) when axis 0 alone cannot
 /// occupy every pool slot. Tile boundaries never split a reduction, so
 /// any tiling produces bit-identical results; the grid only decides how

@@ -65,41 +65,50 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 }
 
 // Conv forward/backward must be bit-identical across thread counts at
-// every batch size the fused (sample × out-channel-tile) grid tiles
-// differently: batch 1 splits channels only, batch 7 splits ragged
-// sample ranges, batch 32 splits samples only. Covers y, dx, dW and db.
+// every batch size the forward grids tile differently: on the wide-plane
+// (sample × out-channel-tile) grid, batch 1 splits channels only, batch 7
+// splits ragged sample ranges, batch 32 splits samples only; on the
+// narrow-plane (position block × out-channel group) grid, batches 1 and 7
+// leave a ragged last block. Covers y, dx, dW and db.
 TEST_F(PoolFixture, ConvForwardBackwardBitIdenticalAcrossThreadsAndBatches) {
   struct ConvOut {
     Tensor y, dx, dw, db;
   };
-  for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{32}}) {
-    const auto run = [&](int threads) {
-      ThreadPool::instance().set_threads(threads);
-      Conv2d conv("c", 5, 12, 3, 1, 1, /*bias=*/true);
-      Rng rng(21);
-      rng.fill_normal(conv.weight().data, 0.0f, 1.0f);
-      rng.fill_normal(conv.bias()->data, 0.0f, 1.0f);
-      Tensor x({batch, 5, 9, 9}), dy({batch, 12, 9, 9});
-      Rng data_rng(22);
-      data_rng.fill_normal(x, 0.0f, 1.0f);
-      data_rng.fill_normal(dy, 0.0f, 1.0f);
-      ConvOut out;
-      out.y = conv.forward(x, /*train=*/true);
-      out.dx = conv.backward(dy);
-      out.dw = conv.weight().grad;
-      out.db = conv.bias()->grad;
-      return out;
-    };
-    const ConvOut serial = run(1);
-    for (const int threads : {2, 4}) {
-      const ConvOut threaded = run(threads);
-      EXPECT_TRUE(same_bits(serial.y, threaded.y)) << "batch=" << batch << " threads=" << threads;
-      EXPECT_TRUE(same_bits(serial.dx, threaded.dx))
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_TRUE(same_bits(serial.dw, threaded.dw))
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_TRUE(same_bits(serial.db, threaded.db))
-          << "batch=" << batch << " threads=" << threads;
+  // A 9x9 plane at stride 1 runs the wide-plane direct forward; the 4x4
+  // and 2x2 outputs of stride-2 convs run the narrow-plane kernel, the
+  // 2x2 one over two out-channel groups and ragged last blocks.
+  struct Case {
+    int64_t in_c, out_c, plane, stride, out;
+  };
+  for (const Case c : {Case{5, 12, 9, 1, 9}, Case{5, 12, 8, 2, 4}, Case{17, 40, 4, 2, 2}}) {
+    for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{32}}) {
+      const auto run = [&](int threads) {
+        ThreadPool::instance().set_threads(threads);
+        Conv2d conv("c", c.in_c, c.out_c, 3, c.stride, 1, /*bias=*/true);
+        Rng rng(21);
+        rng.fill_normal(conv.weight().data, 0.0f, 1.0f);
+        rng.fill_normal(conv.bias()->data, 0.0f, 1.0f);
+        Tensor x({batch, c.in_c, c.plane, c.plane}), dy({batch, c.out_c, c.out, c.out});
+        Rng data_rng(22);
+        data_rng.fill_normal(x, 0.0f, 1.0f);
+        data_rng.fill_normal(dy, 0.0f, 1.0f);
+        ConvOut out;
+        out.y = conv.forward(x, /*train=*/true);
+        out.dx = conv.backward(dy);
+        out.dw = conv.weight().grad;
+        out.db = conv.bias()->grad;
+        return out;
+      };
+      const ConvOut serial = run(1);
+      for (const int threads : {2, 4}) {
+        const ConvOut threaded = run(threads);
+        const std::string at = "plane=" + std::to_string(c.plane) + " batch=" +
+                               std::to_string(batch) + " threads=" + std::to_string(threads);
+        EXPECT_TRUE(same_bits(serial.y, threaded.y)) << at;
+        EXPECT_TRUE(same_bits(serial.dx, threaded.dx)) << at;
+        EXPECT_TRUE(same_bits(serial.dw, threaded.dw)) << at;
+        EXPECT_TRUE(same_bits(serial.db, threaded.db)) << at;
+      }
     }
   }
 }

@@ -851,13 +851,14 @@ TEST(TrainAnomaly, SkipBatchDropsTheBatchAndFinishes) {
 }
 
 TEST(TrainAnomaly, SkipBatchDropsANonFiniteConvGradient) {
-  // A dead, pruned input channel hides an Inf from the forward — the
-  // narrow conv's GEMM skips its all-+0 weight columns, so the loss stays
-  // finite — but the direct conv backward multiplies every term, so the
-  // Inf reaches dW (conv2d.hpp's non-finite contract). The gradient check
-  // must see it and drop that one batch per epoch. Channel 1 reads +0
-  // everywhere else, so its pruned weights get ±0 gradients and stay +0
-  // through every optimizer step (a -0.0 weight would not be skipped).
+  // A finite loss meets a non-finite conv dW. One input pixel of a dead,
+  // pruned channel holds FLT_MAX: the forward multiplies it by that
+  // channel's zero weights, so the logits and the loss stay finite, but
+  // the conv backward multiplies it by dY, and the classifier's weights
+  // are scaled up so that dY exceeds 1 in magnitude and the product
+  // overflows to Inf. The gradient check must see it and drop that one
+  // batch per epoch. Channel 1 reads +0 everywhere else, so its pruned
+  // weights get zero gradients and stay zero through every optimizer step.
   SyntheticSpec spec = ckpt_spec();
   spec.channels = 2;
   spec.height = spec.width = 4;
@@ -867,7 +868,7 @@ TEST(TrainAnomaly, SkipBatchDropsANonFiniteConvGradient) {
   for (int64_t i = 0; i < images.size(0); ++i) {
     std::fill(images.data() + (i * 2 + 1) * 16, images.data() + (i * 2 + 2) * 16, 0.0f);
   }
-  images(5, 1, 1, 2) = std::numeric_limits<float>::infinity();
+  images(5, 1, 1, 2) = std::numeric_limits<float>::max();
   Model model("m");
   model.emplace<Conv2d>("conv", 2, 4, 3, 1, 1, false);
   model.emplace<Flatten>("flatten");
@@ -879,9 +880,10 @@ TEST(TrainAnomaly, SkipBatchDropsANonFiniteConvGradient) {
   for (int64_t o = 0; o < 4; ++o) {
     for (int64_t k = 0; k < 9; ++k) {
       conv.weight().mask.data()[(o * 2 + 1) * 9 + k] = 0.0f;
-      conv.weight().data.data()[(o * 2 + 1) * 9 + k] = 0.0f;
     }
   }
+  conv.weight().apply_mask();
+  for (float& v : static_cast<Linear&>(model[2]).weight().data.flat()) v *= 1000.0f;
   Tensor one({1, 2, 4, 4});
   std::copy(images.data() + 5 * 32, images.data() + 6 * 32, one.data());
   const Tensor logits = model.forward(one, /*train=*/true);

@@ -861,7 +861,9 @@ TEST(ConvLowering, FusedReluBitMatchesUnfused) {
 
 // The GEMM lowering of the dense eval conv, one sample at a time: im2col,
 // gemm, the bias (either form) and the ReLU — the arithmetic, in the
-// order, that conv2d_eval's direct path must reproduce on finite inputs.
+// order, that both of conv2d_eval's direct kernels must reproduce on
+// finite inputs (in a build that does not fuse multiply-adds, the scalar
+// tier's).
 Tensor column_dense_conv(const Tensor& x, const ConvGeometry& g, const Tensor& w, ConvBias bias,
                          bool relu) {
   const int64_t n = x.size(0), out_c = w.size(0), spatial = g.col_cols();
@@ -871,7 +873,7 @@ Tensor column_dense_conv(const Tensor& x, const ConvGeometry& g, const Tensor& w
   for (int64_t i = 0; i < n; ++i) {
     im2col_ld(g, x.data() + i * image, cols.data(), spatial);
     float* yi = y.data() + i * out_c * spatial;
-    if (kFusedBuild || g.out_w() < kDirectMinOutW) {
+    if (kFusedBuild) {
       gemm(false, false, out_c, spatial, g.col_rows(), 1.0f, w.data(), g.col_rows(), cols.data(),
            spatial, 0.0f, yi, spatial);
     } else {
@@ -894,10 +896,14 @@ Tensor column_dense_conv(const Tensor& x, const ConvGeometry& g, const Tensor& w
 TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
   // Generated geometries: kernels 1/3/5, strides 1/2, padding up to one
   // past k/2, output planes from 1 to 40 wide, so conv2d_eval runs both
-  // its GEMM lowering (outputs narrower than kDirectMinOutW) and its
-  // direct path. Inputs and weights are finite with -0.0 sprinkled in,
-  // and whole weight columns are +0 (the GEMM skips those, the direct
-  // path multiplies them): on finite inputs the bits may not differ.
+  // its narrow-plane kernel (outputs narrower than kDirectMinOutW; out
+  // channels in the vector lanes) and its wide-plane direct path. Narrow
+  // draws take up to 17 input channels and cycle their out channels
+  // through the 8, 16 and 32-lane splits up to 40, at batches whose
+  // n*oh*ow is not always a whole number of 8-position blocks. Inputs and
+  // weights are finite with -0.0 sprinkled in, and whole weight columns
+  // are +0 (the GEMM skips those, the direct kernels multiply them): on
+  // finite inputs the bits may not differ.
   Rng rng(2101);
   const auto pick = [&](int64_t lo, int64_t hi) { return lo + rng.randint(hi - lo + 1); };
   const auto sprinkle = [&](Tensor& t) {
@@ -906,16 +912,21 @@ TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
       if (rng.bernoulli(0.03)) v = -0.0f;
     }
   };
-  int64_t direct = 0, lowered = 0;
+  const int64_t splits[][2] = {{1, 8}, {9, 16}, {17, 32}, {33, 40}};
+  int64_t direct = 0, narrow = 0, ragged = 0;
   for (const int64_t kernel : {1, 3, 5}) {
     for (const int64_t stride : {1, 2}) {
       for (int64_t pad = 0; pad <= kernel / 2 + 1; ++pad) {
         for (int draw = 0; draw < 6; ++draw) {
           const int64_t h = pick(1, 12), w = draw % 2 == 0 ? pick(1, 12) : pick(8, 40 * stride);
-          const ConvGeometry g{pick(1, 4), h, w, kernel, kernel, stride, pad};
+          ConvGeometry g{1, h, w, kernel, kernel, stride, pad};
           if (g.out_h() <= 0 || g.out_w() <= 0 || g.out_w() > 40) continue;
-          ++(g.out_w() >= kDirectMinOutW ? direct : lowered);
-          const int64_t out_c = pick(1, 9), spatial = g.col_cols();
+          const bool is_narrow = g.out_w() < kDirectMinOutW;
+          const int64_t* split = splits[narrow % 4];
+          g.in_c = is_narrow ? pick(1, 17) : pick(1, 4);
+          const int64_t out_c = is_narrow ? pick(split[0], split[1]) : pick(1, 9);
+          const int64_t spatial = g.col_cols();
+          ++(is_narrow ? narrow : direct);
           Tensor weight({out_c, g.col_rows()});
           sprinkle(weight);
           for (int64_t c = 0; c < g.col_rows(); ++c) {
@@ -928,7 +939,8 @@ TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
           rng.fill_normal(plane, 0, 1);
           const ConvBias forms[] = {ConvBias{}, ConvBias{bias.data()},
                                     ConvBias{plane.data(), true}};
-          for (const int64_t n : {1, 7, 32}) {
+          for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{is_narrow ? 64 : 32}}) {
+            ragged += is_narrow && n * spatial % 8 != 0;
             Tensor x({n, g.in_c, h, w});
             sprinkle(x);
             for (const ConvBias b : forms) {
@@ -949,7 +961,8 @@ TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
     }
   }
   EXPECT_GE(direct, 40);
-  EXPECT_GE(lowered, 30);
+  EXPECT_GE(narrow, 30);
+  EXPECT_GE(ragged, 30);
 }
 
 TEST(ConvLowering, DenseDirectPathMultipliesZeroTaps) {
@@ -957,30 +970,41 @@ TEST(ConvLowering, DenseDirectPathMultipliesZeroTaps) {
   // NaN, so it must poison the outputs that read the Inf through it. The
   // center tap of input channel 1 is +0 in every row (as a pruned and
   // masked column is), and every other weight is nonzero, so output
-  // (5, 5) reads input (1, 5, 5) only through that zero tap.
-  const ConvGeometry g{2, 10, 10, 3, 3, 1, 1};
-  ASSERT_GE(g.out_w(), kDirectMinOutW);
-  const int64_t out_c = 4, center = 1 * 9 + 4;
-  Sequential model("m");
-  model.emplace<Conv2d>("c", 2, out_c, 3, 1, 1, false);
-  auto& conv = static_cast<Conv2d&>(model[0]);
-  Tensor& w = conv.weight().data;
-  Rng rng(5);
-  rng.fill_uniform(w, 0.5f, 1.5f);
-  Tensor& mask = conv.weight().mask;
-  for (int64_t o = 0; o < out_c; ++o) mask.data()[o * g.col_rows() + center] = 0.0f;
-  conv.weight().apply_mask();
+  // (c, c) reads input (1, c, c) only through that zero tap. A 10x10
+  // plane runs the wide-plane direct path; 4x4 and 2x2 planes run the
+  // narrow-plane kernel, whose positions span samples, so the clean
+  // second sample must stay finite.
+  for (const int64_t plane : {10, 4, 2}) {
+    const ConvGeometry g{2, plane, plane, 3, 3, 1, 1};
+    const int64_t out_c = 4, center = 1 * 9 + 4, c = plane / 2;
+    Sequential model("m");
+    model.emplace<Conv2d>("c", 2, out_c, 3, 1, 1, false);
+    auto& conv = static_cast<Conv2d&>(model[0]);
+    Tensor& w = conv.weight().data;
+    Rng rng(5);
+    rng.fill_uniform(w, 0.5f, 1.5f);
+    Tensor& mask = conv.weight().mask;
+    for (int64_t o = 0; o < out_c; ++o) mask.data()[o * g.col_rows() + center] = 0.0f;
+    conv.weight().apply_mask();
 
-  Tensor x({1, 2, 10, 10});
-  rng.fill_normal(x, 0, 1);
-  x(0, 1, 5, 5) = std::numeric_limits<float>::infinity();
-  const serve::Executor dense = serve::compile(model, {2, 10, 10}, ExecMode::Dense);
-  const Tensor outs[] = {conv2d_eval(x, g, w.data(), out_c, {}, /*relu=*/false),
-                         dense.forward(x)};
-  for (const Tensor& y : outs) {
-    for (int64_t o = 0; o < out_c; ++o) {
-      EXPECT_TRUE(std::isnan(y(0, o, 5, 5))) << "channel " << o << ": " << y(0, o, 5, 5);
-      EXPECT_TRUE(std::isfinite(y(0, o, 0, 0))) << "channel " << o;
+    Tensor x({2, 2, plane, plane});
+    rng.fill_normal(x, 0, 1);
+    x(0, 1, c, c) = std::numeric_limits<float>::infinity();
+    const serve::Executor dense = serve::compile(model, {2, plane, plane}, ExecMode::Dense);
+    const Tensor outs[] = {conv2d_eval(x, g, w.data(), out_c, {}, /*relu=*/false),
+                           dense.forward(x)};
+    for (const Tensor& y : outs) {
+      for (int64_t o = 0; o < out_c; ++o) {
+        EXPECT_TRUE(std::isnan(y(0, o, c, c)))
+            << plane << "x" << plane << " channel " << o << ": " << y(0, o, c, c);
+        if (c >= 2) {
+          EXPECT_TRUE(std::isfinite(y(0, o, 0, 0))) << "channel " << o;
+        }
+        for (int64_t sp = 0; sp < plane * plane; ++sp) {
+          EXPECT_TRUE(std::isfinite(y(1, o, sp / plane, sp % plane)))
+              << plane << "x" << plane << " sample 1 channel " << o << " at " << sp;
+        }
+      }
     }
   }
 }
