@@ -13,6 +13,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/simd.hpp"
@@ -150,7 +151,13 @@ void BM_ConvForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * conv.flops({in_c, plane, plane}) * batch);
 }
-BENCHMARK(BM_ConvForward)->Apply(conv_args);
+// Plus the wide planes of the serving benchmark's cifar-vgg convs at
+// batch 32 (8 channels on 32x32, 16 on 16x16), which the direct kernel's
+// out-channel blocks run.
+BENCHMARK(BM_ConvForward)
+    ->Apply(conv_args)
+    ->Args({8, 8, 32, 32, 1})
+    ->Args({16, 16, 16, 32, 1});
 
 // Conv forward across (batch × pool width): the fused (sample ×
 // out-channel-tile) grid must scale with threads even at batch 1, where
@@ -204,6 +211,19 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward)->Apply(conv_args);
+
+// cifar-vgg's first 2x2 max pool at batch 32 (kernel 2, stride 2: the
+// row loop), eval mode.
+void BM_MaxPool(benchmark::State& state) {
+  sb::Rng rng(6);
+  sb::Tensor x({32, 8, 32, 32});
+  rng.fill_normal(x, 0, 1);
+  for (auto _ : state) {
+    sb::Tensor y = sb::max_pool2d("pool", x, 2, 2);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_MaxPool);
 
 void BM_BatchNormForward(benchmark::State& state) {
   sb::BatchNorm2d bn("bn", 32);

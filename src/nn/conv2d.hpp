@@ -99,7 +99,8 @@ constexpr int64_t kDirectMinOutW = 8;
 /// - g.out_w() >= kDirectMinOutW: conv2d_direct_eval (nn/sparse.hpp)
 ///   convolves straight from zero-bordered phase planes of each sample,
 ///   output columns in the vector lanes, over the fused (sample ×
-///   out-channel-tile) grid.
+///   out-channel-tile) grid; each register tile covers rows of up to 4
+///   output channels, so one input vector load feeds them all.
 /// - narrower outputs: output channels in the vector lanes (8, 16 or
 ///   pairs of 16), output positions flattened over (sample, oy, ox) and
 ///   register-blocked 8 at a time, reading zero-bordered input planes
@@ -109,10 +110,12 @@ constexpr int64_t kDirectMinOutW = 8;
 ///
 /// Both start each output at +0.0 and take one multiply-add per
 /// column-matrix row in ascending order — the chain of the GEMM lowering
-/// (im2col, then W · cols). Every output is owned by one tile, so the
-/// bits are the same at every thread count and SIMD tier and, on finite
-/// inputs, equal the lowering's. In a build that fuses a*b + c (the default -O3
-/// -march=native on an FMA host) that is the dispatched GEMM at any tier;
+/// (im2col, then W · cols) — however many outputs a register tile
+/// holds, so the tile shapes never change the bits. Every output is
+/// owned by one tile, so the bits are the same at every thread count and
+/// SIMD tier and, on finite inputs, equal the lowering's. In a build
+/// that fuses a*b + c (the default -O3 -march=native on an FMA host)
+/// that is the dispatched GEMM at any tier;
 /// in one that does not, the kernels multiply and add separately, as the
 /// scalar GEMM tier does, while the avx2/avx512 tiers still fuse. The
 /// GEMM skips a column whose weights are +0 across its micro-row group,

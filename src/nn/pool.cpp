@@ -155,33 +155,42 @@ Shape GlobalAvgPool::output_sample_shape(const Shape& in) const {
   return {in[0]};
 }
 
-Tensor max_pool2d(const std::string& who, const Tensor& x, int64_t kernel, int64_t stride,
-                  std::vector<int64_t>* argmax) {
-  const PoolWindows win = pool_windows(who, x, kernel, stride);
-  Tensor y({win.n, win.c, win.oh, win.ow});
-  const float* in = x.data();
-  float* out = y.data();
-  // Each window's max is seeded from its own first element: a NaN seed
-  // sticks (NaN comparisons are false), so NaN propagates to the output.
-  // Training also records where each max came from, for backward; the
-  // seeded argmax never leaves the window, so even an all-NaN or all--inf
-  // window routes its gradient inside its own image. Both loops take the
-  // same `v > best` steps, so eval and training outputs are identical.
-  if (argmax == nullptr) {
-    win.for_each([&](int64_t o, int64_t at) {
-      float best = in[at];
-      for (int64_t ky = 0; ky < kernel; ++ky) {
-        for (int64_t kx = 0; kx < kernel; ++kx) {
-          const float v = in[at + ky * win.w + kx];
-          if (v > best) best = v;
-        }
+namespace {
+// Each window's max is seeded from its own first element: a NaN seed
+// sticks (NaN comparisons are false), so NaN propagates to the output.
+// It then takes `v > best` over the window in row-major order. With
+// kArgmax (training) src_of records where each max came from, for
+// backward; the seeded argmax never leaves the window, so even an
+// all-NaN or all--inf window routes its gradient inside its own image.
+// Eval and training take the same steps, so their outputs are identical.
+// Kernel 2, stride 2 runs a row of windows at a time with the steps as
+// selects the compiler can vectorize (the seed's own step never fires).
+template <bool kArgmax>
+void max_pool(const PoolWindows& win, int64_t kernel, const float* in, float* out,
+              int64_t* src_of) {
+  if (kernel == 2 && win.stride == 2) {
+    for (int64_t row = 0; row < win.n * win.c * win.oh; ++row) {
+      const int64_t at = 2 * row * win.w;  // plane * h + 2 * oy == 2 * row
+      const float* top = in + at;
+      const float* bottom = top + win.w;
+      for (int64_t ox = 0; ox < win.ow; ++ox) {
+        const int64_t i = at + 2 * ox;
+        float best = top[2 * ox];
+        int64_t best_at = i;
+        const auto step = [&](float v, int64_t from) {
+          const bool take = v > best;
+          best = take ? v : best;
+          if constexpr (kArgmax) best_at = take ? from : best_at;
+        };
+        step(top[2 * ox + 1], i + 1);
+        step(bottom[2 * ox], i + win.w);
+        step(bottom[2 * ox + 1], i + win.w + 1);
+        out[row * win.ow + ox] = best;
+        if constexpr (kArgmax) src_of[row * win.ow + ox] = best_at;
       }
-      out[o] = best;
-    });
-    return y;
+    }
+    return;
   }
-  argmax->resize(static_cast<size_t>(y.numel()));
-  int64_t* src_of = argmax->data();
   win.for_each([&](int64_t o, int64_t at) {
     float best = in[at];
     int64_t best_at = at;
@@ -195,8 +204,21 @@ Tensor max_pool2d(const std::string& who, const Tensor& x, int64_t kernel, int64
       }
     }
     out[o] = best;
-    src_of[o] = best_at;
+    if constexpr (kArgmax) src_of[o] = best_at;
   });
+}
+}  // namespace
+
+Tensor max_pool2d(const std::string& who, const Tensor& x, int64_t kernel, int64_t stride,
+                  std::vector<int64_t>* argmax) {
+  const PoolWindows win = pool_windows(who, x, kernel, stride);
+  Tensor y({win.n, win.c, win.oh, win.ow});
+  if (argmax == nullptr) {
+    max_pool<false>(win, kernel, x.data(), y.data(), nullptr);
+  } else {
+    argmax->resize(static_cast<size_t>(y.numel()));
+    max_pool<true>(win, kernel, x.data(), y.data(), argmax->data());
+  }
   return y;
 }
 

@@ -78,14 +78,22 @@ namespace {
 using Vec16 = float __attribute__((vector_size(64)));
 using Vec8 = float __attribute__((vector_size(32)));
 
-// Output rows per register tile: enough independent accumulators to hide
-// the multiply-add latency without spilling — eight one-register rows
-// with 512-bit vectors, four two-register rows without.
+// Register tiles: R output rows × O output channels × one vector of
+// columns, R*O independent accumulators to hide the multiply-add
+// latency. Dense rows share their taps' offsets, so a staged input
+// vector loaded once feeds all O channels; CSR rows differ per row and
+// take O = 1. With 512-bit vectors (32 registers): 4 rows × 4 channels
+// for dense rows, 8 rows for CSR ones. Without (16 registers, two per
+// Vec16): 2 rows × 2 channels, or 4 rows of one channel.
 #if defined(__AVX512F__)
-constexpr int kTileRows = 8;
+constexpr int kTileRows = 8, kTileChans = 4, kTileAccs = 16;
 #else
-constexpr int kTileRows = 4;
+constexpr int kTileRows = 4, kTileChans = 2, kTileAccs = 4;
 #endif
+
+// Output rows of a tile over O channels.
+template <int O>
+constexpr int kRowsOf = std::min(kTileRows, kTileAccs / O);
 
 // The direct conv's per-sample input: for each input channel and each
 // (kh mod s, kw mod s) phase a kernel tap can take, the zero-bordered
@@ -156,92 +164,132 @@ struct PhasePlanes {
   }
 };
 
-// One output row's taps: their staged offsets and values.
+// The taps of O output rows: their staged offsets, which the rows share,
+// and the values, row k's from value + k * stride.
 struct Taps {
   const int64_t* offset;
   const float* value;
   int64_t count;
+  int64_t stride;
 };
 
 // One output plane's epilogue, in conv_epilogue's order: its channel's
 // bias, or its per-position bias plane (row pitch ow), or nothing; then
-// the ReLU when set.
+// the ReLU when set. Over O channels, channel k reads bias[k] or the
+// plane k planes on.
 struct Epilogue {
   const float* bias;
   const float* plane;
   bool relu;
 };
 
-// One register tile: R output rows × one vector of columns of an output
-// plane (row pitch ow) whose first element is out[at], from the staged
-// sample at `src` (the tile's first row and column; row pitch `pitch`).
-// Each element starts at +0.0 and takes one multiply-add per tap in
-// ascending order — csr_matmul's arithmetic over CSR entries, and the
-// GEMM block kernel's over a dense row — then the epilogue. Only the
-// first `width` columns are stored.
-template <typename V, int R>
-inline void direct_tile(const float* src, int64_t pitch, Taps taps, Epilogue ep, float* out,
-                        int64_t at, int64_t ow, int64_t width) {
+// One register tile: R output rows × one vector of columns of O output
+// planes (row pitch ow, `spatial` floats apart) whose first element is
+// out[at], from the staged sample at `src` (the tile's first row and
+// column; row pitch `pitch`). Each element starts at +0.0 and takes one
+// multiply-add per tap in ascending order — csr_matmul's arithmetic over
+// CSR entries, and the GEMM block kernel's over a dense row — then the
+// epilogue. Only the first `width` columns are stored.
+template <typename V, int R, int O>
+[[gnu::always_inline]] inline void direct_tile(const float* src, int64_t pitch, Taps taps,
+                                               Epilogue ep, float* out, int64_t spatial,
+                                               int64_t at, int64_t ow, int64_t width) {
   constexpr int64_t kLanes = sizeof(V) / sizeof(float);
-  V acc[R];
-  for (int r = 0; r < R; ++r) acc[r] = V{};
+  V acc[O][R];
+  for (int k = 0; k < O; ++k) {
+    for (int r = 0; r < R; ++r) acc[k][r] = V{};
+  }
   for (int64_t e = 0; e < taps.count; ++e) {
     const float* p = src + taps.offset[e];
-    const float v = taps.value[e];
-    for (int r = 0; r < R; ++r) {
-      V x;
-      std::memcpy(&x, p + r * pitch, sizeof(V));
-      acc[r] += x * v;
+    for (int k = 0; k < O; ++k) {
+      const float v = taps.value[k * taps.stride + e];
+      for (int r = 0; r < R; ++r) {
+        V x;
+        std::memcpy(&x, p + r * pitch, sizeof(V));
+        acc[k][r] += x * v;
+      }
     }
   }
-  for (int r = 0; r < R; ++r) {
-    const int64_t row = at + r * ow;
-    V y = acc[r];
-    if (ep.bias != nullptr) {
-      y += *ep.bias;
-    } else if (ep.plane != nullptr) {
-      V b{};
-      if (width == kLanes) {
-        std::memcpy(&b, ep.plane + row, sizeof(V));
-      } else {
-        for (int64_t j = 0; j < width; ++j) b[j] = ep.plane[row + j];
+  for (int k = 0; k < O; ++k) {
+    for (int r = 0; r < R; ++r) {
+      const int64_t row = at + r * ow;
+      V y = acc[k][r];
+      if (ep.bias != nullptr) {
+        y += ep.bias[k];
+      } else if (ep.plane != nullptr) {
+        const float* plane = ep.plane + k * spatial + row;
+        V b{};
+        if (width == kLanes) {
+          std::memcpy(&b, plane, sizeof(V));
+        } else {
+          for (int64_t j = 0; j < width; ++j) b[j] = plane[j];
+        }
+        y += b;
       }
-      y += b;
-    }
-    if (ep.relu) y = y < V{} ? V{} : y;
-    if (width == kLanes) {
-      std::memcpy(out + row, &y, sizeof(V));
-    } else {
-      for (int64_t j = 0; j < width; ++j) out[row + j] = y[j];
+      if (ep.relu) y = y < V{} ? V{} : y;
+      float* dst = out + k * spatial + row;
+      if (width == kLanes) {
+        std::memcpy(dst, &y, sizeof(V));
+      } else {
+        for (int64_t j = 0; j < width; ++j) dst[j] = y[j];
+      }
     }
   }
 }
 
 // Output rows [y0, oh) of the column strip at x0: tiles of R rows, then
 // at most one tile each of R/2, R/4, ... rows for the remainder.
-template <typename V, int R>
-void direct_rows(const float* stage, int64_t pitch, Taps taps, Epilogue ep, float* out,
-                 int64_t ow, int64_t x0, int64_t width, int64_t y0, int64_t oh) {
+template <typename V, int R, int O>
+[[gnu::always_inline]] inline void direct_rows(const float* stage, int64_t pitch, Taps taps,
+                                               Epilogue ep, float* out, int64_t spatial,
+                                               int64_t ow, int64_t x0, int64_t width, int64_t y0,
+                                               int64_t oh) {
   for (; y0 + R <= oh; y0 += R) {
-    direct_tile<V, R>(stage + y0 * pitch + x0, pitch, taps, ep, out, y0 * ow + x0, ow, width);
+    direct_tile<V, R, O>(stage + y0 * pitch + x0, pitch, taps, ep, out, spatial, y0 * ow + x0,
+                         ow, width);
   }
-  if constexpr (R > 1) direct_rows<V, R / 2>(stage, pitch, taps, ep, out, ow, x0, width, y0, oh);
+  if constexpr (R > 1) {
+    direct_rows<V, R / 2, O>(stage, pitch, taps, ep, out, spatial, ow, x0, width, y0, oh);
+  }
 }
 
-// Output plane [oh, ow] of one weight row over the staged sample `stage`.
-template <typename V>
-void direct_plane(const float* stage, int64_t pitch, Taps taps, Epilogue ep, int64_t oh,
-                  int64_t ow, float* out) {
+// Output planes [oh, ow] of O weight rows over the staged sample `stage`.
+// The tile levels are forced inline into their caller: left to the
+// inliner, the blocked tiles were called out of line and ran slower.
+template <typename V, int O>
+[[gnu::always_inline]] inline void direct_plane(const float* stage, int64_t pitch, Taps taps,
+                                                Epilogue ep, int64_t oh, int64_t ow, float* out) {
   constexpr int64_t kW = sizeof(V) / sizeof(float);
   for (int64_t x0 = 0; x0 < ow; x0 += kW) {
-    direct_rows<V, kTileRows>(stage, pitch, taps, ep, out, ow, x0, std::min(kW, ow - x0), 0, oh);
+    direct_rows<V, kRowsOf<O>, O>(stage, pitch, taps, ep, out, oh * ow, ow, x0,
+                                  std::min(kW, ow - x0), 0, oh);
   }
+}
+
+// `channels` consecutive dense output planes, from the first's taps,
+// epilogue and plane: blocks of O channels, then at most one block each
+// of O/2, O/4, ... channels for the remainder. Kept out of direct_conv's
+// loop nest: inlined there, the blocked tile's O weight-row pointers did
+// not fit the registers left over and were reloaded from the stack on
+// every tap.
+template <typename V, int O>
+[[gnu::noinline]] void direct_channels(const float* stage, int64_t pitch, Taps taps, Epilogue ep,
+                                       int64_t oh, int64_t ow, float* out, int64_t channels) {
+  const int64_t spatial = oh * ow;
+  for (; channels >= O; channels -= O) {
+    direct_plane<V, O>(stage, pitch, taps, ep, oh, ow, out);
+    taps.value += O * taps.stride;
+    if (ep.bias != nullptr) ep.bias += O;
+    if (ep.plane != nullptr) ep.plane += O * spatial;
+    out += O * spatial;
+  }
+  if constexpr (O > 1) direct_channels<V, O / 2>(stage, pitch, taps, ep, oh, ow, out, channels);
 }
 
 // The weight rows the direct driver convolves: nnz CSR entries (row o's
 // are [row_ptr[o], row_ptr[o + 1]), their column-matrix rows in col_idx),
-// or, when row_ptr is null, dense [out_c, g.col_rows()] rows whose every
-// tap is taken — a +0 weight included.
+// or dense [out_c, g.col_rows()] rows whose every tap is taken — a +0
+// weight included.
 struct DirectRows {
   const float* value;
   const int64_t* row_ptr;
@@ -249,15 +297,16 @@ struct DirectRows {
   int64_t nnz;
 };
 
-// The direct convolution driver of conv2d_csr_eval and
+// The direct convolution of conv2d_csr_eval (kDense false) and
 // conv2d_direct_eval: stages each sample's phase planes once per chunk
-// and runs every output plane of its channel tiles through direct_tile.
+// and runs every output plane of its channel tiles through direct_tile,
+// dense rows kTileChans channels at a time, CSR rows one at a time.
+template <bool kDense>
 Tensor direct_conv(const Tensor& x, const ConvGeometry& g, int64_t out_c, DirectRows w,
                    ConvBias bias, bool relu) {
   const int64_t n = x.size(0), col_rows = g.col_rows();
   const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
   const int64_t image_numel = g.in_c * g.in_h * g.in_w;
-  const bool dense = w.row_ptr == nullptr;
   Tensor y({n, out_c, oh, ow});
   const PhasePlanes pp(g);
   // Scratch lives in the thread-local arenas: after warm-up, steady-state
@@ -274,6 +323,10 @@ Tensor direct_conv(const Tensor& x, const ConvGeometry& g, int64_t out_c, Direct
   // keeps those (never stored) lanes inside the allocation.
   const int64_t stage_floats = pp.floats(g) + static_cast<int64_t>(sizeof(Vec16) / sizeof(float));
   const bool narrow = ow <= static_cast<int64_t>(sizeof(Vec8) / sizeof(float));
+  const auto epilogue = [&](int64_t o) {
+    return Epilogue{bias.data != nullptr && !bias.per_position ? bias.data + o : nullptr,
+                    bias.per_position ? bias.data + o * spatial : nullptr, relu};
+  };
   // Fused (sample × out-channel-tile) grid: every output plane is
   // computed whole by one tile, so y is bit-identical at every thread
   // count.
@@ -293,17 +346,26 @@ Tensor direct_conv(const Tensor& x, const ConvGeometry& g, int64_t out_c, Direct
         pp.stage(g, x.data() + i * image_numel, stage);
         for (int64_t u = t; u < row_end; ++u) {
           const Grid2d::Range cr = grid.range1(grid.tile1(u));
-          for (int64_t o = cr.lo; o < cr.hi; ++o) {
-            const int64_t begin = dense ? o * col_rows : w.row_ptr[o];
-            const Taps taps{dense ? row_offset : off + begin, w.value + begin,
-                            dense ? col_rows : w.row_ptr[o + 1] - begin};
-            const Epilogue ep{bias.data != nullptr && !bias.per_position ? bias.data + o : nullptr,
-                              bias.per_position ? bias.data + o * spatial : nullptr, relu};
-            float* out = y.data() + (i * out_c + o) * spatial;
+          if constexpr (kDense) {
+            const Taps taps{row_offset, w.value + cr.lo * col_rows, col_rows, col_rows};
+            float* out = y.data() + (i * out_c + cr.lo) * spatial;
             if (narrow) {
-              direct_plane<Vec8>(stage, pp.cols, taps, ep, oh, ow, out);
+              direct_channels<Vec8, kTileChans>(stage, pp.cols, taps, epilogue(cr.lo), oh, ow,
+                                                out, cr.hi - cr.lo);
             } else {
-              direct_plane<Vec16>(stage, pp.cols, taps, ep, oh, ow, out);
+              direct_channels<Vec16, kTileChans>(stage, pp.cols, taps, epilogue(cr.lo), oh, ow,
+                                                 out, cr.hi - cr.lo);
+            }
+          } else {
+            for (int64_t o = cr.lo; o < cr.hi; ++o) {
+              const int64_t begin = w.row_ptr[o];
+              const Taps taps{off + begin, w.value + begin, w.row_ptr[o + 1] - begin, 0};
+              float* out = y.data() + (i * out_c + o) * spatial;
+              if (narrow) {
+                direct_plane<Vec8, 1>(stage, pp.cols, taps, epilogue(o), oh, ow, out);
+              } else {
+                direct_plane<Vec16, 1>(stage, pp.cols, taps, epilogue(o), oh, ow, out);
+              }
             }
           }
         }
@@ -318,13 +380,14 @@ Tensor direct_conv(const Tensor& x, const ConvGeometry& g, int64_t out_c, Direct
 
 Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& w,
                        const float* bias, bool relu) {
-  return direct_conv(x, g, w.rows, {w.values.data(), w.row_ptr.data(), w.col_idx.data(), w.nnz()},
-                     {bias}, relu);
+  return direct_conv<false>(x, g, w.rows,
+                            {w.values.data(), w.row_ptr.data(), w.col_idx.data(), w.nnz()}, {bias},
+                            relu);
 }
 
 Tensor conv2d_direct_eval(const Tensor& x, const ConvGeometry& g, const float* weight,
                           int64_t out_c, ConvBias bias, bool relu) {
-  return direct_conv(x, g, out_c, {weight, nullptr, nullptr, 0}, bias, relu);
+  return direct_conv<true>(x, g, out_c, {weight, nullptr, nullptr, 0}, bias, relu);
 }
 
 Tensor linear_csr_eval(const Tensor& x, const CsrMatrix& w, const float* bias) {

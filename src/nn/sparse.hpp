@@ -9,8 +9,9 @@
 // two callers share: it reads its input planes in place of an im2col
 // matrix, so no dense-sized copy precedes the multiply-adds, and it
 // applies its bias and a fused ReLU in registers. conv2d_csr_eval passes
-// it CSR entries; conv2d_direct_eval passes dense weight rows, every tap
-// of them, and conv2d_eval (nn/conv2d.hpp) routes its wide output planes
+// it CSR entries, one output row per register tile; conv2d_direct_eval
+// passes dense weight rows, every tap of them, several output rows per
+// tile, and conv2d_eval (nn/conv2d.hpp) routes its wide output planes
 // there. bench/ablation_sparse_inference times one-layer Csr executors
 // against Dense ones to locate the sparsity where sparse execution
 // actually overtakes the dense kernels, and how far its wall-clock
@@ -73,10 +74,15 @@ Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& 
 /// The same direct convolution over dense weight rows ([out_c,
 /// g.col_rows()] row-major): every tap of a row is taken, a +0 weight
 /// included, so the dense baseline never turns into a sparse kernel.
-/// Each output element starts at +0.0 and takes one multiply-add per
-/// column-matrix row in ascending order — the GEMM block kernel's chain —
-/// then conv2d_eval's epilogue (either bias form, then the ReLU). Called
-/// by conv2d_eval for output planes at least kDirectMinOutW wide.
+/// Dense rows share their taps, so a register tile spans several output
+/// channels (4 with 512-bit vectors, 2 without) and each staged input
+/// vector it loads feeds all of them; a channel tile that is not a
+/// multiple of that ends in smaller blocks. Each output element still
+/// starts at +0.0 and takes one multiply-add per column-matrix row in
+/// ascending order — the GEMM block kernel's chain — then conv2d_eval's
+/// epilogue (either bias form, then the ReLU), so the bits do not depend
+/// on the block shape. Called by conv2d_eval for output planes at least
+/// kDirectMinOutW wide.
 Tensor conv2d_direct_eval(const Tensor& x, const ConvGeometry& g, const float* weight,
                           int64_t out_c, ConvBias bias, bool relu);
 

@@ -76,11 +76,15 @@ TEST_F(PoolFixture, ConvForwardBackwardBitIdenticalAcrossThreadsAndBatches) {
   };
   // A 9x9 plane at stride 1 runs the wide-plane direct forward; the 4x4
   // and 2x2 outputs of stride-2 convs run the narrow-plane kernel, the
-  // 2x2 one over two out-channel groups and ragged last blocks.
+  // 2x2 one over two out-channel groups and ragged last blocks. The wide
+  // kernel convolves up to 4 out channels per block: at batch 1, 13 of
+  // them split 7/6 over two tiles and 5/4/4 over three, so tiles end
+  // mid-block and a block never spans two tiles.
   struct Case {
     int64_t in_c, out_c, plane, stride, out;
   };
-  for (const Case c : {Case{5, 12, 9, 1, 9}, Case{5, 12, 8, 2, 4}, Case{17, 40, 4, 2, 2}}) {
+  for (const Case c : {Case{5, 12, 9, 1, 9}, Case{3, 13, 10, 1, 10}, Case{5, 12, 8, 2, 4},
+                       Case{17, 40, 4, 2, 2}}) {
     for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{32}}) {
       const auto run = [&](int threads) {
         ThreadPool::instance().set_threads(threads);

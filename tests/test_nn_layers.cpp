@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "nn/activations.hpp"
@@ -278,6 +280,74 @@ TEST(MaxPool, AllNegInfWindowKeepsArgmaxInWindow) {
   const Tensor dx = pool.backward(dy);
   EXPECT_EQ(dx.at(0), 0.0f);  // not routed to tensor element 0
   EXPECT_EQ(dx.at(4), 5.0f);  // the -inf window's own first element
+}
+
+TEST(MaxPool, GeneratedInputsMatchWindowLoopBitForBit) {
+  // Eval and training (argmax) against a test-local window loop: each
+  // window seeded from its first element, then `v > best` over the
+  // window in row-major order. Inputs sprinkle NaN, +-Inf and -0.0; a
+  // NaN that is not a window's first element never wins, one that is
+  // sticks, and a -0.0 seed keeps its sign against a later +0.0. Kernel
+  // 2 / stride 2 runs the row loop; the other configs run the general one.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {NAN, inf, -inf, -0.0f, 0.0f};
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) && std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+  };
+  Rng rng(2501);
+  struct Config {
+    int64_t kernel, stride;
+  };
+  for (const Config cfg : {Config{2, 2}, Config{2, 1}, Config{3, 3}}) {
+    for (int draw = 0; draw < 12; ++draw) {
+      const int64_t oh = 1 + rng.randint(6), ow = 1 + rng.randint(9);
+      const int64_t h = (oh - 1) * cfg.stride + cfg.kernel, w = (ow - 1) * cfg.stride + cfg.kernel;
+      const int64_t n = 1 + rng.randint(3), c = 1 + rng.randint(4);
+      Tensor x({n, c, h, w});
+      rng.fill_normal(x, 0.0f, 1.0f);
+      for (float& v : x.flat()) {
+        if (rng.bernoulli(0.15)) v = specials[rng.randint(5)];
+      }
+      // Window 0: a NaN after a finite seed, and a -0.0 seed against +0.0
+      // in the first window of the last plane.
+      x.at(1) = NAN;
+      const int64_t last = (n * c - 1) * h * w;
+      x.at(last) = -0.0f;
+      for (int64_t ky = 0; ky < cfg.kernel; ++ky) {
+        for (int64_t kx = 0; kx < cfg.kernel; ++kx) {
+          if (ky + kx > 0) x.at(last + ky * w + kx) = 0.0f;
+        }
+      }
+      Tensor want({n, c, oh, ow});
+      std::vector<int64_t> want_at;
+      for (int64_t plane = 0; plane < n * c; ++plane) {
+        for (int64_t oy = 0; oy < oh; ++oy) {
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const int64_t first = (plane * h + oy * cfg.stride) * w + ox * cfg.stride;
+            float best = x.at(first);
+            int64_t best_at = first;
+            for (int64_t ky = 0; ky < cfg.kernel; ++ky) {
+              for (int64_t kx = 0; kx < cfg.kernel; ++kx) {
+                const int64_t i = first + ky * w + kx;
+                if (x.at(i) > best) {
+                  best = x.at(i);
+                  best_at = i;
+                }
+              }
+            }
+            want.at(static_cast<int64_t>(want_at.size())) = best;
+            want_at.push_back(best_at);
+          }
+        }
+      }
+      const std::string at = "kernel " + std::to_string(cfg.kernel) + " stride " +
+                             std::to_string(cfg.stride) + " input " + to_string(x.shape());
+      EXPECT_TRUE(same_bits(max_pool2d("p", x, cfg.kernel, cfg.stride), want)) << at;
+      std::vector<int64_t> got_at;
+      EXPECT_TRUE(same_bits(max_pool2d("p", x, cfg.kernel, cfg.stride, &got_at), want)) << at;
+      EXPECT_EQ(got_at, want_at) << at;
+    }
+  }
 }
 
 TEST(MaxPool, RejectsRaggedTilingAndBadConfig) {

@@ -900,10 +900,13 @@ TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
   // channels in the vector lanes) and its wide-plane direct path. Narrow
   // draws take up to 17 input channels and cycle their out channels
   // through the 8, 16 and 32-lane splits up to 40, at batches whose
-  // n*oh*ow is not always a whole number of 8-position blocks. Inputs and
-  // weights are finite with -0.0 sprinkled in, and whole weight columns
-  // are +0 (the GEMM skips those, the direct kernels multiply them): on
-  // finite inputs the bits may not differ.
+  // n*oh*ow is not always a whole number of 8-position blocks. Wide draws
+  // cycle their out channels through 1 to 13: every remainder of the wide
+  // kernel's out-channel blocks (up to 4 channels) after none to three
+  // full ones, under each bias form and ReLU. Inputs and weights are
+  // finite with -0.0 sprinkled in, and whole weight columns are +0 (the
+  // GEMM skips those, the direct kernels multiply them): on finite inputs
+  // the bits may not differ.
   Rng rng(2101);
   const auto pick = [&](int64_t lo, int64_t hi) { return lo + rng.randint(hi - lo + 1); };
   const auto sprinkle = [&](Tensor& t) {
@@ -924,7 +927,7 @@ TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
           const bool is_narrow = g.out_w() < kDirectMinOutW;
           const int64_t* split = splits[narrow % 4];
           g.in_c = is_narrow ? pick(1, 17) : pick(1, 4);
-          const int64_t out_c = is_narrow ? pick(split[0], split[1]) : pick(1, 9);
+          const int64_t out_c = is_narrow ? pick(split[0], split[1]) : 1 + direct % 13;
           const int64_t spatial = g.col_cols();
           ++(is_narrow ? narrow : direct);
           Tensor weight({out_c, g.col_rows()});
