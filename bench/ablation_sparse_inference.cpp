@@ -4,7 +4,7 @@
 // be arranged in a fashion conducive to speedups using modern libraries
 // and hardware" — theoretical speedup (madds ratio) is a proxy. This bench
 // compiles one-layer conv and linear models with the serving compiler and
-// times the Dense executor (GEMM kernels) against the Csr executor (CSR
+// times the Dense executor (dense kernels) against the Csr executor (CSR
 // kernels) across sparsity levels, reporting the crossover: the sparsity
 // below which "N× theoretical speedup" delivers <1× wall-clock.
 #include <algorithm>
@@ -48,7 +48,7 @@ double apply_sparsity(Parameter& p, const Tensor& initial, double sparsity, Rng&
 }
 
 // Sweeps the weight of a one-layer model over the sparsity levels,
-// timing its Dense executor (GEMM kernels) against its Csr executor (CSR
+// timing its Dense executor (dense kernels) against its Csr executor (CSR
 // kernels) at each, and prints a table plus appends CSV rows.
 void sweep(const std::string& kernel, Sequential& model, Parameter& weight, const Shape& sample,
            const Tensor& x, int reps, Rng& rng, std::vector<std::vector<std::string>>& csv) {

@@ -4,8 +4,7 @@
 //       Post-processes google-benchmark --benchmark_format=json output
 //       into the compact committed-baseline schema:
 //       {schema, simd, benchmarks: [{name, ns, items_per_sec}]}.
-//       Benchmarks that called SkipWithError (e.g. BM_GemmKernel's
-//       avx512 entry on a host without AVX-512) are recorded as
+//       Benchmarks that called SkipWithError are recorded as
 //       {name, skipped: true} instead of fake timings.
 //
 //   check_regression check <baseline.json> <current.json> [--tolerance F]

@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the primitives everything else is
-// built on: GEMM, im2col lowering, conv forward/backward, batchnorm,
+// built on: the Linear step, im2col lowering, conv forward/backward, batchnorm,
 // scoring, mask allocation, and full prune_model calls. Includes the
 // mask-enforcement ablation called out in DESIGN.md: how much does
 // re-applying masks after every optimizer step cost?
@@ -12,9 +12,9 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
+#include "nn/linear.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/pool.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/threadpool.hpp"
@@ -23,91 +23,25 @@ namespace sb = shrinkbench;
 
 namespace {
 
-void BM_Gemm(benchmark::State& state) {
-  const int64_t n = state.range(0);
+// One Linear training step, forward plus backward: args in features,
+// out features, batch. cifar-vgg's fc1 (512 -> 32) and LeNet-300-100's
+// fc1 (784 -> 300) at batch 64.
+void BM_LinearStep(benchmark::State& state) {
+  const int64_t in = state.range(0), out = state.range(1), batch = state.range(2);
+  sb::Linear fc("fc", in, out);
   sb::Rng rng(1);
-  sb::Tensor a({n, n}), b({n, n});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
+  sb::kaiming_normal(fc.weight().data, rng);
+  sb::Tensor x({batch, in}), dy({batch, out});
+  rng.fill_normal(x, 0, 1);
+  rng.fill_normal(dy, 0, 1);
   for (auto _ : state) {
-    sb::Tensor c = sb::matmul(a, b);
-    benchmark::DoNotOptimize(c.data());
+    fc.forward(x, true);
+    sb::Tensor dx = fc.backward(dy);
+    benchmark::DoNotOptimize(dx.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 3 * batch * in * out);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
-
-// Thread-pool scaling for the same GEMM. Separate benchmark name (not an
-// extra BM_Gemm arg) so the single-thread BM_Gemm baseline entries in
-// BENCH_perf.json keep their names and stay comparable across commits.
-void BM_GemmMT(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  sb::ThreadPool& pool = sb::ThreadPool::instance();
-  const int original = pool.threads();
-  pool.set_threads(static_cast<int>(state.range(1)));
-  sb::Rng rng(1);
-  sb::Tensor a({n, n}), b({n, n});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  for (auto _ : state) {
-    sb::Tensor c = sb::matmul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-  pool.set_threads(original);
-}
-// Wall-clock, not CPU time: the calling thread sleeps while pool workers
-// run, so the default CPU-time metric would overstate throughput.
-BENCHMARK(BM_GemmMT)->Args({256, 1})->Args({256, 2})->Args({256, 4})->Args({512, 4})->UseRealTime();
-
-// Per-tier block-kernel microbenchmark: drives each SIMD tier's packed
-// kernel directly through simd::block_kernel (bypassing SB_SIMD
-// dispatch), so one run reports every tier side by side. An unsupported
-// tier skips with an error note instead of silently falling back —
-// check_regression records the skip rather than comparing bogus numbers.
-void BM_GemmKernel(benchmark::State& state) {
-  const auto level = static_cast<sb::simd::Level>(state.range(0));
-  const bool supported =
-      level == sb::simd::Level::Scalar ||
-      (level == sb::simd::Level::Avx2 && sb::simd::cpu_supports_avx2()) ||
-      (level == sb::simd::Level::Avx512 && sb::simd::cpu_supports_avx512());
-  state.SetLabel(sb::simd::level_name(level));
-  if (!supported) {
-    state.SkipWithError("simd level unsupported on this host/build");
-    return;
-  }
-  // One gemm.cpp cache block: the packed shapes the kernel actually sees.
-  const int64_t m = 64, n = 256, k = 256;
-  sb::Rng rng(1);
-  sb::Tensor a({m, k}), b({k, n}), c({m, n});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  const sb::simd::BlockKernelFn kernel = sb::simd::block_kernel(level);
-  for (auto _ : state) {
-    kernel(m, n, k, a.data(), k, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * m * n * k);
-}
-BENCHMARK(BM_GemmKernel)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_GemmSparseA(benchmark::State& state) {
-  // The kernel skips zero A entries; measure the pruned-weight fast path.
-  const int64_t n = 128;
-  sb::Rng rng(1);
-  sb::Tensor a({n, n}), b({n, n});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  const double sparsity = static_cast<double>(state.range(0)) / 100.0;
-  for (float& v : a.flat()) {
-    if (rng.uniform() < sparsity) v = 0.0f;
-  }
-  for (auto _ : state) {
-    sb::Tensor c = sb::matmul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_GemmSparseA)->Arg(0)->Arg(75)->Arg(94);
+BENCHMARK(BM_LinearStep)->Args({512, 32, 64})->Args({784, 300, 64});
 
 void BM_Im2col(benchmark::State& state) {
   const sb::ConvGeometry g{16, 12, 12, 3, 3, 1, 1};
@@ -309,7 +243,7 @@ BENCHMARK(BM_SgdStep)->Arg(0)->Arg(1);
 }  // namespace
 
 // Custom main so every report (and BENCH_perf.json derived from the JSON
-// output; see bench/check_regression.cpp) records which GEMM kernel ran.
+// output; see bench/check_regression.cpp) records the build's SIMD tier.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("simd", sb::simd::level_name(sb::simd::active_level()));
   benchmark::Initialize(&argc, argv);

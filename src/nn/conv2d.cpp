@@ -14,8 +14,8 @@ namespace shrinkbench {
 namespace {
 
 // GCC vector extensions, as nn/sparse.cpp's direct conv uses them:
-// arithmetic on them compiles to the same (fused) multiply-adds as the
-// GEMM block kernels.
+// arithmetic on them compiles to the same (fused) multiply-adds as its
+// scalar loops.
 using Vec4 = float __attribute__((vector_size(16)));
 using Vec8 = float __attribute__((vector_size(32)));
 using Vec16 = float __attribute__((vector_size(64)));
@@ -162,7 +162,7 @@ void transpose_dy(const float* src, int64_t out_c, int64_t spatial, int64_t ocp,
 // lanes [o0, o0 + G*|V|), the out channels in the vector lanes. Each
 // element starts at its current grad value and takes one multiply-add
 // per output position of every sample, in ascending (sample, oy, ox)
-// order — the chain the beta = 1 GEMM ran over the n*oh*ow axis.
+// order — the column formulation's chain over the n*oh*ow axis.
 template <typename V, int R, int G>
 void dw_tile(const BackwardStage& st, int64_t r0, int64_t o0, float* grad) {
   constexpr int64_t kL = kLanes<V>;
@@ -383,7 +383,7 @@ ForwardStage stage_forward(const Tensor& x, const ConvGeometry& g, const float* 
 // One forward register tile: output positions at[0, R) × out-channel
 // lanes [o0, o0 + G*|V|), the out channels in the vector lanes, into
 // out. Each output starts at +0.0 and takes one multiply-add per
-// column-matrix row in ascending order — the GEMM lowering's chain.
+// column-matrix row in ascending order — the column lowering's chain.
 template <typename V, int R, int G>
 void fwd_tile(const ForwardStage& st, const int64_t* at, int64_t o0, V (*out)[G]) {
   constexpr int64_t kL = kLanes<V>;

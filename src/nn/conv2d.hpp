@@ -1,6 +1,6 @@
 // 2-D convolution (NCHW). Weight shape: [out_c, in_c, kh, kw]. The eval
 // forward and the backward convolve directly from the input planes, with
-// no column matrix or GEMM: wide output planes through nn/sparse.hpp's
+// no column matrix or matrix product: wide output planes through nn/sparse.hpp's
 // row-vector kernel, narrow ones and both gradients with the channels in
 // the vector lanes.
 #pragma once
@@ -24,24 +24,21 @@ class Conv2d : public Layer {
   ///   (c, kh, kw) register-blocked. Each element continues from its
   ///   current grad value with one multiply-add per output position, in
   ///   ascending (sample, oy, ox) order, reading zero-bordered input
-  ///   planes — the chain of the beta = 1 GEMM dW += dY · colsᵀ.
+  ///   planes — the chain of the column formulation's dW += dY · colsᵀ.
   /// - dX: input channels in the vector lanes, samples register-blocked.
   ///   Each pixel starts at +0.0 and adds, in col2im's (kh, kw) order,
   ///   one term per tap that reads it; each term is the out-channel chain
   ///   of Wᵀ·dY, one multiply-add per out channel from +0.0.
   ///
   /// Every element is owned by one tile, so the bits are the same at
-  /// every thread count and SIMD tier, and equal the column
-  /// formulation's (dispatched GEMM + col2im) on finite inputs, with the
-  /// same fused-build caveat as conv2d_eval. The GEMM skipped a +0 dY
-  /// column (dW) or +0 weight column (dX) across its micro-row group;
-  /// the direct kernels multiply every term. So:
+  /// every thread count and equal the column formulation's (im2col, the
+  /// ascending-chain products, col2im). Every term is multiplied, +0
+  /// ones included, so:
   /// - an Inf or NaN in x reaches dW even where dY is +0 across every
   ///   channel, and one in dY reaches dX even through a masked (+0)
-  ///   filter, where the GEMM ignored it;
+  ///   filter;
   /// - a dW element that starts at -0.0 and whose every product is a
-  ///   zero ends +0.0 if any product is +0.0, where the GEMM, skipping
-  ///   those, could keep -0.0 (which its SIMD tier decided).
+  ///   zero ends +0.0 if any product is +0.0.
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Parameter*>& out) override;
   Shape output_sample_shape(const Shape& in) const override;
@@ -109,18 +106,14 @@ constexpr int64_t kDirectMinOutW = 8;
 ///   transposes.
 ///
 /// Both start each output at +0.0 and take one multiply-add per
-/// column-matrix row in ascending order — the chain of the GEMM lowering
-/// (im2col, then W · cols) — however many outputs a register tile
-/// holds, so the tile shapes never change the bits. Every output is
-/// owned by one tile, so the bits are the same at every thread count and
-/// SIMD tier and, on finite inputs, equal the lowering's. In a build
-/// that fuses a*b + c (the default -O3 -march=native on an FMA host)
-/// that is the dispatched GEMM at any tier;
-/// in one that does not, the kernels multiply and add separately, as the
-/// scalar GEMM tier does, while the avx2/avx512 tiers still fuse. The
-/// GEMM skips a column whose weights are +0 across its micro-row group,
-/// so on non-finite inputs the two differ: an Inf or NaN under a +0
-/// weight yields NaN here, and the GEMM ignores it.
+/// column-matrix row in ascending order — the chain of the column
+/// lowering (im2col, then W · cols) — however many outputs a register
+/// tile holds, so the tile shapes never change the bits. Every output is
+/// owned by one tile, so the bits are the same at every thread count.
+/// Whether a multiply-add is fused is the build's choice, the same for
+/// every kernel (the default -O3 -march=native fuses on an FMA host).
+/// Every term is multiplied, so an Inf or NaN under a +0 weight yields
+/// NaN.
 Tensor conv2d_eval(const Tensor& x, const ConvGeometry& g, const float* weight, int64_t out_c,
                    ConvBias bias, bool relu);
 

@@ -1,11 +1,14 @@
 #include "nn/linear.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "tensor/gemm.hpp"
+#include "nn/linear_product.hpp"
+#include "obs/profile.hpp"
+#include "tensor/workspace.hpp"
 
 namespace shrinkbench {
+
+using linear_product::product;
 
 Linear::Linear(std::string name, int64_t in_features, int64_t out_features, bool bias,
                bool is_classifier)
@@ -31,17 +34,23 @@ Tensor Linear::backward(const Tensor& grad_out) {
     throw std::invalid_argument(name() + ": grad shape " + to_string(grad_out.shape()) +
                                 " does not match output shape " + to_string({n, out_}));
   }
-  // dW += dY^T X ; accumulate into existing grads.
-  gemm(/*trans_a=*/true, /*trans_b=*/false, out_, in_, n, 1.0f, grad_out.data(), out_,
-       cached_input_.data(), in_, 1.0f, weight_.grad.data(), in_);
+  if (obs::profiling_enabled()) obs::count("linear.macs", 2 * n * in_ * out_);
+  const float* dy = grad_out.data();
+  float* dw = weight_.grad.data();
+  // dW += dYᵀ X, dYᵀ read in place: each element continues from its grad.
+  product({.m = out_, .n = in_, .k = n, .a = dy, .a_row = 1, .a_col = out_,
+           .b = cached_input_.data(), .ldb = in_, .c0 = dw, .ld0 = in_, .c = dw, .ldc = in_});
   if (has_bias_) {
     float* bg = bias_.grad.data();
-    const float* gp = grad_out.data();
     for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < out_; ++j) bg[j] += gp[i * out_ + j];
+      for (int64_t j = 0; j < out_; ++j) bg[j] += dy[i * out_ + j];
     }
   }
-  return matmul(grad_out, weight_.data);  // dX = dY W
+  Tensor dx({n, in_});  // dX = dY W, from +0.0
+  product({.m = n, .n = in_, .k = out_, .a = dy, .a_row = out_, .a_col = 1,
+           .b = weight_.data.data(), .ldb = in_, .c0 = nullptr, .ld0 = 0, .c = dx.data(),
+           .ldc = in_});
+  return dx;
 }
 
 void Linear::collect_params(std::vector<Parameter*>& out) {
@@ -75,17 +84,15 @@ void check_features(const std::string& who, const Tensor& x, int64_t in) {
 
 Tensor linear_eval(const Tensor& x, const float* weight, int64_t out_features, const float* bias) {
   const int64_t n = x.size(0), in = x.size(1);
+  if (obs::profiling_enabled()) obs::count("linear.macs", n * in * out_features);
   Tensor y({n, out_features});
-  // y = x [N, in] * W^T [in, out] (+ bias). The bias add is fused into
-  // the GEMM epilogue: pre-fill each output row with the bias and
-  // accumulate (beta = 1) instead of overwriting and making a second
-  // pass over y.
-  if (bias != nullptr) {
-    float* yp = y.data();
-    for (int64_t i = 0; i < n; ++i) std::copy(bias, bias + out_features, yp + i * out_features);
+  Workspace::Scope scope;
+  float* wt = Workspace::tls().floats(static_cast<size_t>(in * out_features));  // Wᵀ [in, out]
+  for (int64_t c = 0; c < in; ++c) {
+    for (int64_t o = 0; o < out_features; ++o) wt[c * out_features + o] = weight[o * in + c];
   }
-  gemm(false, /*trans_b=*/true, n, out_features, in, 1.0f, x.data(), in, weight, in,
-       bias != nullptr ? 1.0f : 0.0f, y.data(), out_features);
+  product({.m = n, .n = out_features, .k = in, .a = x.data(), .a_row = in, .a_col = 1, .b = wt,
+           .ldb = out_features, .c0 = bias, .ld0 = 0, .c = y.data(), .ldc = out_features});
   return y;
 }
 

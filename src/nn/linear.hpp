@@ -1,4 +1,23 @@
 // Fully-connected layer: y = x W^T + b, weight shape [out, in].
+//
+// The forward, dW and dX run on one register-tiled product in
+// linear_product.hpp, C = C0 + A·B with C's contiguous axis in the vector
+// lanes (16 wide in an AVX-512 build, 8 otherwise). Each element starts
+// at its seed and takes one multiply-add per term of the reduction, in
+// ascending order:
+//
+// - forward: from the bias (+0.0 without one), over the input features;
+// - dW: from its current grad, over the samples;
+// - dX: from +0.0, over the output features.
+//
+// Every element is owned by one tile, so the bits are the same at every
+// thread count and tile shape. Every term is multiplied, +0 weights and
+// activations included, so:
+// - an Inf or NaN input feature under a masked (+0) weight column makes
+//   every output of that sample NaN, and one in dY reaches dX through a
+//   masked weight row;
+// - an element seeded -0.0 whose products are all zeros ends +0.0 if
+//   any of them is +0.0.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -36,8 +55,9 @@ class Linear : public Layer {
 void check_features(const std::string& who, const Tensor& x, int64_t in);
 
 /// Eval fully-connected layer: y = x W^T + bias for x [N, in] and weight
-/// [out_features, in], the bias add fused into the GEMM (bias == nullptr:
-/// none).
+/// [out_features, in], each output's chain starting from its bias
+/// (bias == nullptr: from +0.0). Stages W^T in the calling thread's
+/// workspace arena.
 Tensor linear_eval(const Tensor& x, const float* weight, int64_t out_features, const float* bias);
 
 }  // namespace shrinkbench

@@ -73,8 +73,7 @@ namespace {
 
 // GCC vector extensions: one register-tile row of 16 output columns, or
 // 8 when the output rows are at most 8 wide. Arithmetic on them compiles
-// to the same (fused) multiply-adds as csr_matmul's scalar loop and the
-// GEMM block kernels.
+// to the same (fused) multiply-adds as csr_matmul's scalar loop.
 using Vec16 = float __attribute__((vector_size(64)));
 using Vec8 = float __attribute__((vector_size(32)));
 
@@ -188,7 +187,7 @@ struct Epilogue {
 // out[at], from the staged sample at `src` (the tile's first row and
 // column; row pitch `pitch`). Each element starts at +0.0 and takes one
 // multiply-add per tap in ascending order — csr_matmul's arithmetic over
-// CSR entries, and the GEMM block kernel's over a dense row — then the
+// CSR entries, and the column lowering's over a dense row — then the
 // epilogue. Only the first `width` columns are stored.
 template <typename V, int R, int O>
 [[gnu::always_inline]] inline void direct_tile(const float* src, int64_t pitch, Taps taps,

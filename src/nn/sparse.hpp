@@ -79,7 +79,7 @@ Tensor conv2d_csr_eval(const Tensor& x, const ConvGeometry& g, const CsrMatrix& 
 /// vector it loads feeds all of them; a channel tile that is not a
 /// multiple of that ends in smaller blocks. Each output element still
 /// starts at +0.0 and takes one multiply-add per column-matrix row in
-/// ascending order — the GEMM block kernel's chain — then conv2d_eval's
+/// ascending order — the column lowering's chain — then conv2d_eval's
 /// epilogue (either bias form, then the ReLU), so the bits do not depend
 /// on the block shape. Called by conv2d_eval for output planes at least
 /// kDirectMinOutW wide.

@@ -17,6 +17,7 @@
 #include "obs/manifest.hpp"
 #include "obs/profile.hpp"
 #include "obs/resource.hpp"
+#include "tensor/simd.hpp"
 
 namespace shrinkbench::obs {
 
@@ -26,7 +27,6 @@ namespace {
 std::atomic<int> g_enabled{-1};
 std::atomic<bool> g_constructed{false};
 std::atomic<PoolSampleFn> g_pool_sampler{nullptr};
-std::atomic<SimdNameFn> g_simd_name_fn{nullptr};
 
 std::mutex& paths_mutex() {
   static std::mutex mu;
@@ -120,8 +120,6 @@ void set_status_path(const std::string& path) {
 }
 
 void set_pool_sampler(PoolSampleFn fn) { g_pool_sampler.store(fn); }
-
-void set_simd_name_fn(SimdNameFn fn) { g_simd_name_fn.store(fn); }
 
 // ---------------------------------------------------------------------
 // QuantileHistogram
@@ -377,7 +375,7 @@ std::string Telemetry::status_json() {
   os << "{\"schema\":\"shrinkbench.status/v1\""
      << ",\"updated_utc\":" << json_str(utc_timestamp()) << ",\"t\":" << json_num(t)
      << ",\"pid\":" << process_id() << ",\"host\":" << json_str(hostname());
-  if (SimdNameFn simd_fn = g_simd_name_fn.load()) os << ",\"simd\":" << json_str(simd_fn());
+  os << ",\"simd\":" << json_str(simd::level_name(simd::active_level()));
   os << ",\"phase\":" << json_str(board.phase) << ",\"stage\":" << json_str(board.stage);
   const double fraction =
       board.total > 0 ? static_cast<double>(board.done) / static_cast<double>(board.total) : 0.0;

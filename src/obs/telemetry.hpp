@@ -121,13 +121,6 @@ using PoolSampleFn = PoolSample (*)();
 /// Installed once at static-init by tensor/threadpool; nullptr until then.
 void set_pool_sampler(PoolSampleFn fn);
 
-/// Effective GEMM kernel tier ("avx512" | "avx2" | "scalar") for the
-/// status host block; installed at static-init by tensor/simd (same
-/// no-link-cycle story as the pool sampler). Evaluated lazily at each
-/// status sample so registration never forces SIMD detection.
-using SimdNameFn = const char* (*)();
-void set_simd_name_fn(SimdNameFn fn);
-
 // ---------------------------------------------------------------------
 // Telemetry singleton: time-series registry + sampler + heartbeat
 // ---------------------------------------------------------------------

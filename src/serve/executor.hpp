@@ -22,7 +22,7 @@
 //           plane built from the call's geometry. A residual join keeps
 //           the union of both branches' live channels. One final op
 //           expands the result to the model's output shape. So the conv
-//           taps, the GEMM's k dimension, BN, ReLU and pooling all run
+//           taps, the linear input features, BN, ReLU and pooling all run
 //           over live channels only.
 //
 // There is one eval lowering. An op is compiled data (packed weights,

@@ -1,5 +1,5 @@
-// Convolution lowering of NCHW images onto GEMM. Padding is implicit
-// zero padding. The column matrix [C*kh*kw, out_h*out_w] (im2col /
+// Convolution lowering of NCHW images onto a matrix product. Padding is
+// implicit zero padding. The column matrix [C*kh*kw, out_h*out_w] (im2col /
 // im2col_ld) has one row per (channel, kernel position) and one column
 // per output position; Y = W · cols is the conv. No src/ code lowers
 // through it: every conv forward and backward reads its input planes
@@ -38,7 +38,7 @@ void col2im(const ConvGeometry& g, const float* cols, float* image);
 
 /// Strided variants for batching: one image's columns are written into a
 /// wider matrix whose rows are `ld` floats apart (ld >= col_cols), so a
-/// block of images becomes one [col_rows, n*col_cols] GEMM operand.
+/// block of images becomes one [col_rows, n*col_cols] product operand.
 void im2col_ld(const ConvGeometry& g, const float* image, float* cols, int64_t ld);
 void col2im_ld(const ConvGeometry& g, const float* cols, int64_t ld, float* image);
 

@@ -2,8 +2,8 @@
 //
 // These are the building blocks shared by the NN layers (src/nn) and the
 // pruning core (src/core). Everything operates on flat contiguous storage;
-// shape-aware operations live in gemm.hpp (matmul), nn/conv2d.hpp and
-// nn/sparse.hpp (the conv kernels).
+// shape-aware operations live in nn/linear.hpp, nn/conv2d.hpp and
+// nn/sparse.hpp (the linear and conv kernels).
 #pragma once
 
 #include <cstdint>

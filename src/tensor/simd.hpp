@@ -1,58 +1,35 @@
-// Runtime-dispatched GEMM block microkernels.
-//
-// gemm() packs cache blocks of op(A) and op(B) into contiguous row-major
-// scratch and hands them to a block kernel: C[mb,nb] += A[mb,kb] * B[kb,nb]
-// with A pre-scaled by alpha. Two implementations exist:
-//
-//   * Scalar  — the portable 4-row kernel (autovectorizes under -O3); it
-//               skips all-zero A rows, the pruned-weight fast path.
-//   * Avx2    — an FMA/AVX2 register-blocked microkernel (6x16 C tile held
-//               in registers) compiled in its own TU with -mavx2 -mfma so
-//               the rest of the build stays baseline-portable. It skips
-//               packed A columns that are zero across the whole micro-row
-//               group (the pruned-weight fast path, vector edition).
-//   * Avx512  — the same design twice as wide (8x32 C tile in zmm
-//               registers), compiled in its own TU with -mavx512f
-//               -mavx512bw and entered only after its own cpuid check.
-//               Keeps the zero-column pruned-weight fast path.
-//
-// The active kernel is chosen once per process: SB_SIMD=avx512|avx2|scalar
-// wins if set (an unsatisfiable request falls back to the best supported
-// lower tier with a warning), otherwise cpuid picks the best kernel the
-// CPU supports.
+// The vector instruction tier of this build. Every kernel fixes its
+// vector width at compile time (the `#if defined(__AVX512F__)` branches
+// in nn/conv2d.cpp, nn/sparse.cpp and nn/linear_product.hpp), so the tier is a
+// property of the build flags (-march), not of the host or the
+// environment. The run manifest, the telemetry host block and the
+// benchmark's host fingerprint record it, so runs of different builds
+// are never compared as if they were the same.
 #pragma once
-
-#include <cstdint>
 
 namespace shrinkbench::simd {
 
 enum class Level { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
-/// Block kernel contract: C[mb,nb] += A[mb,kb] * B[kb,nb], all row-major
-/// with the given leading dimensions. A and B point into packed scratch;
-/// C points into the caller's output matrix.
-using BlockKernelFn = void (*)(int64_t mb, int64_t nb, int64_t kb, const float* a, int64_t lda,
-                               const float* b, int64_t ldb, float* c, int64_t ldc);
+/// Avx512 when the build targets AVX-512F and BW, Avx2 when it targets
+/// AVX2 and FMA, else Scalar.
+constexpr Level active_level() {
+#if defined(__AVX512F__) && defined(__AVX512BW__)
+  return Level::Avx512;
+#elif defined(__AVX2__) && defined(__FMA__)
+  return Level::Avx2;
+#else
+  return Level::Scalar;
+#endif
+}
 
-/// True when this build has an AVX2 kernel compiled in AND the CPU
-/// reports avx2+fma at runtime.
-bool cpu_supports_avx2();
-
-/// True when this build has an AVX-512 kernel compiled in AND the CPU
-/// reports avx512f+avx512bw at runtime.
-bool cpu_supports_avx512();
-
-/// The level selected for this process (env override or cpuid), cached
-/// after the first call.
-Level active_level();
-
-const char* level_name(Level level);
-
-/// Kernel for a specific level (tests compare them against each other).
-/// Requesting an unsupported level returns the best supported kernel
-/// below it (Avx512 -> Avx2 -> Scalar).
-BlockKernelFn block_kernel(Level level);
-
-inline BlockKernelFn active_block_kernel() { return block_kernel(active_level()); }
+constexpr const char* level_name(Level level) {
+  switch (level) {
+    case Level::Avx512: return "avx512";
+    case Level::Avx2: return "avx2";
+    case Level::Scalar: return "scalar";
+  }
+  return "unknown";
+}
 
 }  // namespace shrinkbench::simd

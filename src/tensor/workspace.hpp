@@ -1,21 +1,22 @@
 // Thread-local grow-only workspace arena for hot-path scratch.
 //
-// The im2col/GEMM substrate used to heap-allocate fresh std::vector
-// buffers on every conv/linear call — thousands of allocations per
-// training step. The arena replaces them with bump allocation from a
-// thread-local pool that grows to the high-water mark once and is then
-// reused forever: after warm-up, a training step performs zero heap
-// allocations for scratch.
+// The conv and linear kernels stage operands per call (zero-bordered
+// input planes, transposed weights and gradients, Linear's W^T). Fresh
+// std::vector buffers would cost thousands of allocations per training
+// step; the arena serves them by bump allocation from a thread-local pool
+// that grows to the high-water mark once and is then reused forever:
+// after warm-up, a training step performs zero heap allocations for
+// scratch.
 //
 // Usage:
 //
 //   Workspace::Scope scope;                 // RAII: frees on destruction
-//   float* cols = Workspace::tls().floats(rows * cols_n);
+//   float* wt = Workspace::tls().floats(in * out);
 //   ...
 //
-// Scopes nest (conv's scope holds cols while gemm's scope holds its pack
-// buffers on top) and must be destroyed in LIFO order, which C++ scoping
-// guarantees. Pointers are valid until the enclosing Scope dies; never
+// Scopes nest (a caller's scope holds its buffers while a kernel it calls
+// opens its own on top) and must be destroyed in LIFO order, which C++
+// scoping guarantees. Pointers are valid until the enclosing Scope dies; never
 // store them across calls. All returns are 64-byte aligned.
 //
 // Observability (only when SB_PROF is on): gauges

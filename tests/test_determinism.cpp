@@ -19,6 +19,7 @@
 #include "nn/checkpoint.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
+#include "nn/linear.hpp"
 #include "obs/io.hpp"
 #include "obs/profile.hpp"
 #include "tensor/threadpool.hpp"
@@ -47,8 +48,8 @@ TrainOptions tiny_train_options() {
   return opts;
 }
 
-// A conv + batchnorm + pool model so the multi-threaded determinism
-// claim covers every parallelised layer, not just GEMM.
+// A conv + batchnorm + pool + linear model so the multi-threaded
+// determinism claim covers every parallelised layer.
 ModelPtr tiny_model(const DatasetBundle& bundle) {
   ModelPtr model = make_model("cifar-vgg", bundle.train.sample_shape(),
                               bundle.train.num_classes, /*base_width=*/4);
@@ -112,6 +113,47 @@ TEST_F(PoolFixture, ConvForwardBackwardBitIdenticalAcrossThreadsAndBatches) {
         EXPECT_TRUE(same_bits(serial.dx, threaded.dx)) << at;
         EXPECT_TRUE(same_bits(serial.dw, threaded.dw)) << at;
         EXPECT_TRUE(same_bits(serial.db, threaded.db)) << at;
+      }
+    }
+  }
+}
+
+// Linear forward/backward must be bit-identical across thread counts:
+// its products fan row blocks over the pool (samples for y and dX, out
+// features for dW), so batches 1, 7 and 64 and 300 out features split
+// differently at each width. 37 -> 19 leaves lane and row-tile
+// remainders everywhere. dW continues from a nonzero grad.
+TEST_F(PoolFixture, LinearForwardBackwardBitIdenticalAcrossThreadsAndBatches) {
+  struct Case {
+    int64_t in, out;
+  };
+  for (const Case c : {Case{512, 32}, Case{144, 300}, Case{37, 19}}) {
+    for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{64}}) {
+      const auto run = [&](int threads) {
+        ThreadPool::instance().set_threads(threads);
+        Linear fc("fc", c.in, c.out);
+        Rng rng(23);
+        rng.fill_normal(fc.weight().data, 0.0f, 1.0f);
+        rng.fill_normal(fc.bias()->data, 0.0f, 1.0f);
+        rng.fill_normal(fc.weight().grad, 0.0f, 1.0f);
+        Tensor x({batch, c.in}), dy({batch, c.out});
+        rng.fill_normal(x, 0.0f, 1.0f);
+        rng.fill_normal(dy, 0.0f, 1.0f);
+        std::vector<Tensor> out{fc.forward(x, /*train=*/true)};
+        out.push_back(fc.backward(dy));
+        out.push_back(fc.weight().grad);
+        out.push_back(fc.bias()->grad);
+        return out;
+      };
+      const std::vector<Tensor> serial = run(1);
+      for (const int threads : {2, 4}) {
+        const std::vector<Tensor> threaded = run(threads);
+        const std::string at = std::to_string(c.in) + "->" + std::to_string(c.out) + " batch=" +
+                               std::to_string(batch) + " threads=" + std::to_string(threads);
+        const char* names[] = {"y", "dx", "dw", "db"};
+        for (size_t k = 0; k < serial.size(); ++k) {
+          EXPECT_TRUE(same_bits(serial[k], threaded[k])) << names[k] << " at " << at;
+        }
       }
     }
   }

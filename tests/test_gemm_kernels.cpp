@@ -1,248 +1,131 @@
-// Exhaustive GEMM kernel correctness sweep.
-//
-// Every block kernel (scalar and, where available, AVX2 and AVX-512) is
-// validated against a naive double-precision triple-loop reference
-// across all four transpose combinations, odd/tail sizes, the full
-// alpha/beta grid, and sparse (pruned-style) A inputs. The whole binary
-// is registered per SIMD tier in ctest — SB_SIMD=scalar, avx2, and
-// avx512 (the last auto-skips via cpuid fallback on hosts without
-// AVX-512, where dispatch warns and degrades) — so the public gemm()
-// entry point is exercised under every dispatch setting; the
-// KernelParity suite additionally compares the block kernels against
-// each other directly, independent of the environment.
-// Further registrations re-run the sweep under SB_THREADS=1/2/4 so the
-// threaded row-panel fan-out is covered for every kernel, and the
-// GemmThreads suite checks bit-identical output across thread counts
-// in-process.
+// Linear's register-tiled product, C = C0 + A·B (nn/linear_product.hpp),
+// at every lane width a build can pick: 1 lane, 8 lanes (a 256-bit AVX2
+// register of floats) and 16 lanes (a 512-bit AVX-512 one), each with the
+// tile height Linear uses at that width. A build runs only its own width
+// inside Linear; this binary instantiates all three, so each is checked
+// on any host. Every element must equal a test-local chain bit for bit:
+// from its seed, one multiply-add per p in ascending order, every term
+// multiplied. ctest also runs each width alone at SB_THREADS=1, 2 and 4,
+// so the row-block fan-out is checked at every thread count.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdint>
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "tensor/gemm.hpp"
+#include "madd.hpp"
+#include "nn/linear_product.hpp"
 #include "tensor/rng.hpp"
-#include "tensor/simd.hpp"
-#include "tensor/threadpool.hpp"
 
 namespace shrinkbench {
 namespace {
 
-constexpr float kRelTol = 1e-4f;
+using linear_product::Product;
 
-// Sizes chosen to hit every micro-tile edge case: below/at/above the
-// 4-row scalar grouping, the 6-row AVX2 and 8-row AVX-512 groupings,
-// the 16- and 32-wide vector panels, and the 64/256 cache-block
-// boundaries.
-const std::vector<int64_t> kSizes = {1, 2, 3, 5, 7, 17, 63, 64, 65, 257};
+// The ways a product can be seeded: its own C0 rows, C0 read from C in
+// place (Linear's dW), one row broadcast to every row (the bias), +0.0.
+enum class Seed { Rows, InPlace, Broadcast, Zero };
 
-void fill_uniform(Rng& rng, std::vector<float>& v, double sparsity = 0.0) {
+const char* seed_name(Seed s) {
+  switch (s) {
+    case Seed::Rows: return "rows";
+    case Seed::InPlace: return "in place";
+    case Seed::Broadcast: return "broadcast";
+    case Seed::Zero: return "zero";
+  }
+  return "?";
+}
+
+// Normal values with signed zeros sprinkled in, so a chain that ends on
+// zeros keeps or loses its sign exactly as the reference does.
+std::vector<float> sprinkled(Rng& rng, int64_t count) {
+  std::vector<float> v(static_cast<size_t>(count));
   for (float& x : v) {
-    x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
-    if (sparsity > 0.0 && rng.uniform() < sparsity) x = 0.0f;
+    x = static_cast<float>(rng.normal());
+    if (rng.bernoulli(0.2)) x = rng.bernoulli(0.5) ? 0.0f : -0.0f;
   }
+  return v;
 }
 
-// Reference op(A)[m,k] * op(B)[k,n] in double precision.
-std::vector<double> naive_product(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                                  const std::vector<float>& a, const std::vector<float>& b) {
-  std::vector<double> p(static_cast<size_t>(m * n), 0.0);
+// Runs the product at <Lanes, Rows> for A [m, k] (row-major, or stored
+// as its transpose [k, m] when `transposed`) and B [k, n] with padded
+// rows, and checks C against the ascending chains.
+template <int Lanes, int Rows>
+void check(int64_t m, int64_t n, int64_t k, bool transposed, Seed seed, Rng& rng) {
+  const int64_t ldb = n + 3, ldc = n + 2;
+  const std::vector<float> a = sprinkled(rng, m * k);
+  const std::vector<float> b = sprinkled(rng, k * ldb);
+  const std::vector<float> c0 = sprinkled(rng, m * ldc);
+  const int64_t a_row = transposed ? 1 : k, a_col = transposed ? m : 1;
+  std::vector<float> c = seed == Seed::InPlace ? c0 : std::vector<float>(m * ldc, 7.0f);
+
+  std::vector<float> want = c;
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t q = 0; q < k; ++q) {
-      const double av = trans_a ? a[static_cast<size_t>(q * m + i)]
-                                : a[static_cast<size_t>(i * k + q)];
-      if (av == 0.0) continue;
-      for (int64_t j = 0; j < n; ++j) {
-        const double bv = trans_b ? b[static_cast<size_t>(j * k + q)]
-                                  : b[static_cast<size_t>(q * n + j)];
-        p[static_cast<size_t>(i * n + j)] += av * bv;
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      if (seed == Seed::Rows || seed == Seed::InPlace) acc = c0[i * ldc + j];
+      if (seed == Seed::Broadcast) acc = c0[j];
+      for (int64_t p = 0; p < k; ++p) {
+        acc = testing::madd(acc, a[i * a_row + p * a_col], b[p * ldb + j]);
       }
+      want[i * ldc + j] = acc;
     }
   }
-  return p;
+
+  Product pr{.m = m, .n = n, .k = k, .a = a.data(), .a_row = a_row, .a_col = a_col,
+             .b = b.data(), .ldb = ldb, .c0 = nullptr, .ld0 = 0, .c = c.data(), .ldc = ldc};
+  if (seed == Seed::Rows) pr.c0 = c0.data(), pr.ld0 = ldc;
+  if (seed == Seed::InPlace) pr.c0 = c.data(), pr.ld0 = ldc;
+  if (seed == Seed::Broadcast) pr.c0 = c0.data();
+  linear_product::product<Lanes, Rows>(pr);
+
+  // Padding columns past n included: the product writes only [m, n].
+  EXPECT_EQ(std::memcmp(c.data(), want.data(), c.size() * sizeof(float)), 0)
+      << Lanes << " lanes, " << Rows << " rows: m " << m << " n " << n << " k " << k
+      << (transposed ? ", A transposed" : ", A row-major") << ", seed " << seed_name(seed);
 }
 
-void expect_close(const std::vector<float>& got, const std::vector<double>& want,
-                  const std::string& what) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    const double ref = want[i];
-    const double tol = kRelTol * (1.0 + std::abs(ref));
-    ASSERT_NEAR(got[i], ref, tol) << what << " at flat index " << i;
-  }
-}
-
-struct AlphaBeta {
-  float alpha, beta;
-};
-
-// gemm() through the public entry point (dispatch chosen by SB_SIMD /
-// cpuid) across the full size x transpose x alpha/beta grid.
-void sweep(double sparsity) {
-  Rng rng(sparsity > 0.0 ? 99 : 42);
-  const std::vector<AlphaBeta> full_grid = {{0, 0},   {0, 1},   {0, 0.5f}, {1, 0},   {1, 1},
-                                            {1, 0.5f}, {0.5f, 0}, {0.5f, 1}, {0.5f, 0.5f}};
-  const std::vector<AlphaBeta> small_grid = {{1, 0}, {0.5f, 0.5f}, {0, 0.5f}};
-  for (int64_t m : kSizes) {
-    for (int64_t n : kSizes) {
-      for (int64_t k : kSizes) {
-        std::vector<float> a(static_cast<size_t>(m * k));
-        std::vector<float> b(static_cast<size_t>(k * n));
-        std::vector<float> c0(static_cast<size_t>(m * n));
-        fill_uniform(rng, a, sparsity);
-        fill_uniform(rng, b);
-        fill_uniform(rng, c0);
-        for (int combo = 0; combo < 4; ++combo) {
-          const bool ta = (combo & 1) != 0, tb = (combo & 2) != 0;
-          const std::vector<double> p = naive_product(ta, tb, m, n, k, a, b);
-          // The naive product is the expensive part; reuse it for every
-          // alpha/beta pair. The full grid runs on small problems, a
-          // representative subset on large ones (runtime, not coverage:
-          // alpha/beta handling is size-independent prologue code).
-          const auto& grid = (m * n * k <= 50000) ? full_grid : small_grid;
-          for (const AlphaBeta ab : grid) {
-            std::vector<float> c = c0;
-            gemm(ta, tb, m, n, k, ab.alpha, a.data(), ta ? m : k, b.data(), tb ? k : n, ab.beta,
-                 c.data(), n);
-            std::vector<double> want(p.size());
-            for (size_t i = 0; i < p.size(); ++i) {
-              want[i] = static_cast<double>(ab.alpha) * p[i] +
-                        static_cast<double>(ab.beta) * c0[i];
-            }
-            expect_close(c, want,
-                         "m=" + std::to_string(m) + " n=" + std::to_string(n) + " k=" +
-                             std::to_string(k) + " ta=" + std::to_string(ta) + " tb=" +
-                             std::to_string(tb) + " alpha=" + std::to_string(ab.alpha) +
-                             " beta=" + std::to_string(ab.beta));
-            if (::testing::Test::HasFatalFailure()) return;
-          }
-        }
+// m, n and k each run through 1..3*Rows, 1..3*Lanes+1 and 1..33, so the
+// products meet every column-vector and row-tile remainder, m = 1 and
+// n = 1 included, under each seed and A layout.
+template <int Lanes, int Rows>
+void generated_shapes() {
+  Rng rng(2602 + Lanes);
+  const int64_t shapes = std::max<int64_t>(3 * Rows, 3 * Lanes + 1);
+  for (int64_t t = 0; t < shapes; ++t) {
+    const int64_t m = 1 + t % (3 * Rows), n = 1 + (5 * t) % (3 * Lanes + 1), k = 1 + (7 * t) % 33;
+    for (const bool transposed : {false, true}) {
+      for (const Seed seed : {Seed::Rows, Seed::InPlace, Seed::Broadcast, Seed::Zero}) {
+        check<Lanes, Rows>(m, n, k, transposed, seed, rng);
       }
     }
   }
 }
 
-TEST(GemmSweep, DenseMatchesNaiveReference) { sweep(/*sparsity=*/0.0); }
-
-TEST(GemmSweep, SparseAMatchesNaiveReference) { sweep(/*sparsity=*/0.85); }
-
-TEST(GemmSweep, BetaZeroOverwritesNonFiniteC) {
-  // beta == 0 must clear C, not multiply it: NaN garbage in the output
-  // buffer may not leak through.
-  std::vector<float> a = {1, 2, 3, 4}, b = {5, 6, 7, 8};
-  std::vector<float> c(4, std::nanf(""));
-  gemm(false, false, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2);
-  EXPECT_FLOAT_EQ(c[0], 19.0f);
-  EXPECT_FLOAT_EQ(c[1], 22.0f);
-  EXPECT_FLOAT_EQ(c[2], 43.0f);
-  EXPECT_FLOAT_EQ(c[3], 50.0f);
-}
-
-TEST(GemmThreads, BitIdenticalAcrossThreadCounts) {
-  ThreadPool& pool = ThreadPool::instance();
-  const int original = pool.threads();
-  Rng rng(123);
-  // Big enough that the (j0, i0) block grid splits into several chunks.
-  const int64_t m = 129, n = 300, k = 200;
-  std::vector<float> a(static_cast<size_t>(m * k));
-  std::vector<float> b(static_cast<size_t>(k * n));
-  std::vector<float> c0(static_cast<size_t>(m * n));
-  fill_uniform(rng, a, /*sparsity=*/0.5);
-  fill_uniform(rng, b);
-  fill_uniform(rng, c0);
-
-  for (const bool trans_a : {false, true}) {
-    // alpha/beta exercise both the accumulate prologue and the kernel.
-    pool.set_threads(1);
-    std::vector<float> ref = c0;
-    gemm(trans_a, false, m, n, k, 0.5f, a.data(), trans_a ? m : k, b.data(), n, 0.25f,
-         ref.data(), n);
-    for (const int threads : {2, 4}) {
-      pool.set_threads(threads);
-      std::vector<float> c = c0;
-      gemm(trans_a, false, m, n, k, 0.5f, a.data(), trans_a ? m : k, b.data(), n, 0.25f,
-           c.data(), n);
-      EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)), 0)
-          << "threads=" << threads << " trans_a=" << trans_a;
-    }
-  }
-  pool.set_threads(original);
-}
-
-TEST(GemmSweep, ReportsActiveKernel) {
-  // Informational: which kernel did this ctest registration actually run?
-  RecordProperty("simd_level", simd::level_name(simd::active_level()));
-  SUCCEED() << "active kernel: " << simd::level_name(simd::active_level());
-}
-
-// ---------------------------------------------------------------------
-// Kernel parity: vector block kernels vs. scalar, head to head and
-// bypassing dispatch entirely. Runs regardless of SB_SIMD; skips where
-// the vector kernel is unavailable.
-// ---------------------------------------------------------------------
-
-// Block-kernel contract shapes: C[mb,nb] += A[mb,kb] * B[kb,nb], all
-// row-major and dense-packed (ld == width). Covers tails in every
-// dimension (including the 8-row / 32-wide AVX-512 micro tile) and the
-// pruned (sparse) zero-column fast path.
-void expect_kernel_parity(simd::BlockKernelFn reference, simd::BlockKernelFn candidate,
-                          const char* candidate_name) {
-  Rng rng(7);
-  const int64_t shapes[][3] = {{1, 1, 1},      {6, 16, 8},   {8, 32, 8},  {5, 15, 7},
-                               {7, 17, 9},     {9, 33, 11},  {2, 256, 1}, {64, 3, 17},
-                               {64, 256, 256}, {13, 31, 63}};
-  for (const auto& s : shapes) {
-    const int64_t mb = s[0], nb = s[1], kb = s[2];
-    for (const double sparsity : {0.0, 0.9}) {
-      std::vector<float> a(static_cast<size_t>(mb * kb));
-      std::vector<float> b(static_cast<size_t>(kb * nb));
-      std::vector<float> c0(static_cast<size_t>(mb * nb));
-      fill_uniform(rng, a, sparsity);
-      fill_uniform(rng, b);
-      fill_uniform(rng, c0);
-      std::vector<float> c_ref = c0, c_cand = c0;
-      reference(mb, nb, kb, a.data(), kb, b.data(), nb, c_ref.data(), nb);
-      candidate(mb, nb, kb, a.data(), kb, b.data(), nb, c_cand.data(), nb);
-      for (size_t i = 0; i < c_ref.size(); ++i) {
-        const double tol = kRelTol * (1.0 + std::abs(c_ref[i]));
-        ASSERT_NEAR(c_cand[i], c_ref[i], tol)
-            << candidate_name << " mb=" << mb << " nb=" << nb << " kb=" << kb
-            << " sparsity=" << sparsity << " flat=" << i;
-      }
+// Large enough that the row blocks split into many chunks, so the pool
+// fans them out at every SB_THREADS above 1.
+template <int Lanes, int Rows>
+void fanned_out() {
+  Rng rng(2603 + Lanes);
+  for (const bool transposed : {false, true}) {
+    for (const Seed seed : {Seed::InPlace, Seed::Broadcast, Seed::Zero}) {
+      check<Lanes, Rows>(301, 3 * Lanes + 5, 97, transposed, seed, rng);
     }
   }
 }
 
-TEST(KernelParity, Avx2MatchesScalarOnBlockShapes) {
-  if (!simd::cpu_supports_avx2()) {
-    GTEST_SKIP() << "AVX2 kernel unavailable on this host/build";
-  }
-  const simd::BlockKernelFn scalar = simd::block_kernel(simd::Level::Scalar);
-  const simd::BlockKernelFn avx2 = simd::block_kernel(simd::Level::Avx2);
-  ASSERT_NE(scalar, avx2);
-  expect_kernel_parity(scalar, avx2, "avx2");
-}
+TEST(GemmKernelScalar, GeneratedShapesMatchAscendingChains) { generated_shapes<1, 8>(); }
+TEST(GemmKernelScalar, FannedOutRowBlocksMatchAscendingChains) { fanned_out<1, 8>(); }
+TEST(GemmKernelAvx2, GeneratedShapesMatchAscendingChains) { generated_shapes<8, 12>(); }
+TEST(GemmKernelAvx2, FannedOutRowBlocksMatchAscendingChains) { fanned_out<8, 12>(); }
+TEST(GemmKernelAvx512, GeneratedShapesMatchAscendingChains) { generated_shapes<16, 16>(); }
+TEST(GemmKernelAvx512, FannedOutRowBlocksMatchAscendingChains) { fanned_out<16, 16>(); }
 
-TEST(KernelParity, Avx512MatchesScalarOnBlockShapes) {
-  if (!simd::cpu_supports_avx512()) {
-    GTEST_SKIP() << "AVX-512 kernel unavailable on this host/build";
-  }
-  const simd::BlockKernelFn scalar = simd::block_kernel(simd::Level::Scalar);
-  const simd::BlockKernelFn avx512 = simd::block_kernel(simd::Level::Avx512);
-  ASSERT_NE(scalar, avx512);
-  expect_kernel_parity(scalar, avx512, "avx512");
-}
-
-TEST(KernelParity, UnsupportedLevelFallsBackToBestSupported) {
-  // block_kernel must never hand out a kernel the host cannot run: an
-  // unsupported request degrades down the tier ladder.
-  const simd::BlockKernelFn k = simd::block_kernel(simd::Level::Avx512);
-  ASSERT_NE(k, nullptr);
-  if (!simd::cpu_supports_avx512()) {
-    EXPECT_EQ(k, simd::block_kernel(simd::cpu_supports_avx2() ? simd::Level::Avx2
-                                                              : simd::Level::Scalar));
-  }
+// The widths above are the ones the build can pick for Linear.
+TEST(GemmKernel, BuildWidthIsOneOfTheCheckedWidths) {
+  EXPECT_TRUE((linear_product::kLanes == 8 && linear_product::kRows == 12) ||
+              (linear_product::kLanes == 16 && linear_product::kRows == 16));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gradcheck.hpp"
+#include "madd.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -99,6 +100,67 @@ TEST(Linear, FlopsAndClassifierFlag) {
   EXPECT_FALSE(parameters_of(fc)[1]->prunable);  // bias
   fc.weight().mask.zero();
   EXPECT_EQ(fc.effective_flops({10}), 0);
+}
+
+TEST(Linear, GeneratedShapesMatchAscendingChainsBitForBit) {
+  // The forward (with and without bias), dW (continuing a nonzero grad)
+  // and dX against test-local chains: each element from its seed (the
+  // bias or +0.0, the grad, +0.0), one multiply-add per term in ascending
+  // order, every term multiplied. Batch, in and out features each run
+  // through 1..33, so every product meets every remainder of its 8- or
+  // 16-lane column vectors and of its row tiles, batch 1 included. Inputs
+  // carry -0.0 and +0, weights masked zeros, the bias and grad -0.0.
+  const auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) && std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+  };
+  Rng rng(2601);
+  const auto sprinkle = [&](Tensor& t, double p) {
+    rng.fill_normal(t, 0.0f, 1.0f);
+    for (float& v : t.flat()) {
+      if (rng.bernoulli(p)) v = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+    }
+  };
+  for (int64_t t = 0; t < 33; ++t) {
+    const int64_t out = 1 + t, in = 1 + (7 * t) % 33, n = 1 + (5 * t) % 33;
+    for (const bool bias : {false, true}) {
+      Linear fc("fc", in, out, bias);
+      sprinkle(fc.weight().data, 0.2);
+      sprinkle(fc.weight().grad, 0.2);
+      if (bias) sprinkle(fc.bias()->data, 0.2);
+      const Tensor grad0 = fc.weight().grad;
+      Tensor x({n, in}), dy({n, out});
+      sprinkle(x, 0.2);
+      sprinkle(dy, 0.1);
+      const float* w = fc.weight().data.data();
+      Tensor y({n, out}), dw = grad0, dx({n, in});
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t o = 0; o < out; ++o) {
+          float acc = bias ? fc.bias()->data.at(o) : 0.0f;
+          for (int64_t c = 0; c < in; ++c) acc = testing::madd(acc, x(i, c), w[o * in + c]);
+          y(i, o) = acc;
+        }
+      }
+      for (int64_t o = 0; o < out; ++o) {
+        for (int64_t c = 0; c < in; ++c) {
+          float acc = dw(o, c);
+          for (int64_t i = 0; i < n; ++i) acc = testing::madd(acc, dy(i, o), x(i, c));
+          dw(o, c) = acc;
+        }
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t c = 0; c < in; ++c) {
+          float acc = 0.0f;
+          for (int64_t o = 0; o < out; ++o) acc = testing::madd(acc, dy(i, o), w[o * in + c]);
+          dx(i, c) = acc;
+        }
+      }
+      const std::string at = "batch " + std::to_string(n) + " " + std::to_string(in) + " -> " +
+                             std::to_string(out) + (bias ? " with bias" : " without bias");
+      EXPECT_TRUE(same_bits(fc.forward(x, /*train=*/true), y)) << "forward at " << at;
+      EXPECT_TRUE(same_bits(fc.backward(dy), dx)) << "dX at " << at;
+      EXPECT_TRUE(same_bits(fc.weight().grad, dw)) << "dW at " << at;
+    }
+  }
 }
 
 // ---- Conv2d ----

@@ -26,13 +26,13 @@
 #include "core/experiment.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
+#include "nn/linear.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/profile.hpp"
 #include "obs/resource.hpp"
 #include "obs/telemetry.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/workspace.hpp"
 
 namespace shrinkbench {
@@ -283,17 +283,20 @@ TEST(A_ZeroOverhead, HotPathsNeverConstructProfilerWhenDisabled) {
   if (std::getenv("SB_PROF") || std::getenv("SB_TRACE")) {
     GTEST_SKIP() << "SB_PROF/SB_TRACE set in the environment";
   }
-  // Drive the instrumented hot paths for real — gemm (counters), conv
-  // forward/backward (spans + counters, the backward's conv2d.bwd.macs
-  // among them), the workspace arena (grow counter + gauges) — and assert
-  // none of their instrumentation touched the singleton. This is the
-  // regression guard for "profiling off must be truly zero-overhead on the
-  // hot loop".
+  // Drive the instrumented hot paths for real — Linear forward/backward
+  // (linear.macs), conv forward/backward (spans + counters, the
+  // backward's conv2d.bwd.macs among them), the workspace arena (grow
+  // counter + gauges) — and assert none of their instrumentation touched
+  // the singleton. This is the regression guard for "profiling off must
+  // be truly zero-overhead on the hot loop".
   Rng rng(3);
-  Tensor a({9, 17}), b({17, 5});
+  Linear fc("zfc", 17, 5);
+  kaiming_normal(fc.weight().data, rng);
+  Tensor a({9, 17}), da({9, 5});
   rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  (void)matmul(a, b);
+  rng.fill_normal(da, 0, 1);
+  (void)fc.forward(a, true);
+  (void)fc.backward(da);
 
   Conv2d conv("zc", 2, 3, 3, 1, 1, true);
   kaiming_normal(conv.weight().data, rng);
@@ -309,7 +312,7 @@ TEST(A_ZeroOverhead, HotPathsNeverConstructProfilerWhenDisabled) {
   }
 
   EXPECT_FALSE(obs::Profiler::constructed());
-  // The matmul above went through the thread pool's telemetry-gated
+  // The Linear step above went through the thread pool's telemetry-gated
   // accounting branch; with switches off it must not have constructed
   // the telemetry singleton either.
   EXPECT_FALSE(obs::Telemetry::constructed());
@@ -460,7 +463,7 @@ TEST_F(ProfilerFixture, ConvBackwardCountsItsMultiplyAdds) {
   // multiply-add per (out channel, column-matrix row, output position),
   // padding taps included: 2 * 3 * 18 * 36. dX runs one per (input
   // channel, out channel) for each in-range (pixel, tap) pair, 16 per
-  // axis: 2 * 2 * 3 * 16 * 16. The backward runs no GEMM.
+  // axis: 2 * 2 * 3 * 16 * 16.
   Conv2d conv("c", 2, 3, 3, 1, 1, false);
   Rng rng(2);
   kaiming_normal(conv.weight().data, rng);
@@ -472,8 +475,27 @@ TEST_F(ProfilerFixture, ConvBackwardCountsItsMultiplyAdds) {
   conv.backward(dy);
   const auto snap = obs::Profiler::instance().snapshot();
   EXPECT_EQ(snap.counters.at("conv2d.bwd.macs"), 2 * 3 * 18 * 36 + 2 * 2 * 3 * 16 * 16);
-  EXPECT_EQ(snap.counters.count("gemm.flops"), 0u);
   EXPECT_EQ(snap.counters.count("col2im.elements"), 0u);
+}
+
+TEST_F(ProfilerFixture, LinearCountsItsMultiplyAddsOnlyWhenProfiling) {
+  // 7 samples, 5 -> 3 features: the forward, dW and dX each run one
+  // multiply-add per (sample, in, out).
+  Linear fc("fc", 5, 3);
+  Rng rng(4);
+  kaiming_normal(fc.weight().data, rng);
+  Tensor x({7, 5}), dy({7, 3});
+  rng.fill_normal(x, 0, 1);
+  rng.fill_normal(dy, 0, 1);
+  fc.forward(x, true);
+  fc.backward(dy);
+  EXPECT_EQ(obs::Profiler::instance().snapshot().counters.at("linear.macs"), 3 * 7 * 5 * 3);
+
+  obs::Profiler::instance().reset();
+  obs::set_profiling_enabled(false);
+  fc.forward(x, true);
+  fc.backward(dy);
+  EXPECT_EQ(obs::Profiler::instance().snapshot().counters.count("linear.macs"), 0u);
 }
 
 TEST_F(ProfilerFixture, TraceJsonIsWellFormedAndContainsSpans) {
@@ -847,10 +869,9 @@ TEST_F(TelemetryFixture, PoolSamplerReportsUtilization) {
   // The threadpool TU registered its sampler at static init; drive a
   // parallel job while telemetry is on, then tick once.
   Rng rng(5);
-  Tensor a({64, 64}), b({64, 64});
+  Tensor a({64, 64});
   rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  (void)matmul(a, b);
+  (void)linear_eval(a, a.data(), 64, nullptr);
   obs::Telemetry& t = obs::Telemetry::instance();
   t.sample_once();
   const auto series = t.series();

@@ -32,7 +32,6 @@
 #include "obs/io.hpp"
 #include "obs/log.hpp"
 #include "obs/profile.hpp"
-#include "tensor/gemm.hpp"
 
 namespace shrinkbench {
 namespace {
@@ -1041,25 +1040,6 @@ TEST_F(RobustnessFixture, AnomalyCountsSurfaceInRunManifest) {
   clean.config = tiny_config();
   write_run_manifest(path, "unit", {clean});
   EXPECT_EQ(slurp(path).find("anomalies"), std::string::npos);
-}
-
-// ---- satellite: gemm FLOP accounting ----
-
-TEST(GemmCounters, EarlyReturnDoesNotInflateFlops) {
-  obs::set_profiling_enabled(true);
-  obs::Profiler::instance().reset();
-  float a[4] = {1, 2, 3, 4}, b[4] = {5, 6, 7, 8}, c[4] = {0, 0, 0, 0};
-
-  gemm(false, false, 2, 2, 2, /*alpha=*/0.0f, a, 2, b, 2, /*beta=*/1.0f, c, 2);
-  auto snap = obs::Profiler::instance().snapshot();
-  EXPECT_EQ(snap.counters.count("gemm.flops"), 0u);  // no multiply-adds ran
-  EXPECT_EQ(snap.counters.at("gemm.calls"), 1);
-
-  gemm(false, false, 2, 2, 2, /*alpha=*/1.0f, a, 2, b, 2, /*beta=*/0.0f, c, 2);
-  snap = obs::Profiler::instance().snapshot();
-  EXPECT_EQ(snap.counters.at("gemm.flops"), 2 * 2 * 2 * 2);
-  obs::Profiler::instance().reset();
-  obs::set_profiling_enabled(false);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "core/allocation.hpp"
 #include "core/pruner.hpp"
 #include "core/scoring.hpp"
+#include "madd.hpp"
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -44,11 +45,9 @@
 #include "obs/profile.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
-#include "tensor/simd.hpp"
 #include "tensor/threadpool.hpp"
 #include "tensor/workspace.hpp"
 
@@ -422,39 +421,58 @@ int64_t bit_mismatches(const Tensor& a, const Tensor& b) {
   return bad;
 }
 
-// Whether this build contracts a*b + c into one fused multiply-add, as the
-// default Release flags (-O3 -march=native) do on an FMA host. Then every
-// GEMM tier and the direct convs run the same fused chain. Otherwise the
-// direct convs and the scalar tier multiply and add separately, while the
-// avx2/avx512 tiers still fuse through their intrinsics, so the direct
-// paths are held to the scalar tier's arithmetic.
-#if defined(__FMA__) && defined(__OPTIMIZE__)
-constexpr bool kFusedBuild = true;
-#else
-constexpr bool kFusedBuild = false;
-#endif
+TEST(ServeExecutor, InfUnderMaskedLinearColumnIsNaNInEagerAndDense) {
+  // Linear multiplies every term, +0 weights included (linear.hpp): an
+  // Inf input feature under a fully masked weight column makes every
+  // output of its sample NaN, in the eager model and the dense executor
+  // alike, at one thread and at four; the other samples stay finite.
+  // 37 outputs and 19 samples leave lane and row-tile remainders.
+  const int64_t in = 40, out = 37, n = 19, dead = 5;
+  Rng rng(3);
+  Sequential model("m");
+  model.emplace<Linear>("fc", in, out);
+  init_model(model, rng);
+  Parameter& w = dynamic_cast<Linear&>(*model.children()[0]).weight();
+  for (int64_t o = 0; o < out; ++o) w.mask(o, dead) = 0.0f;
+  w.apply_mask();
+  Tensor x({n, in});
+  rng.fill_normal(x, 0, 1);
+  x(3, dead) = std::numeric_limits<float>::infinity();
+  x(11, dead) = -std::numeric_limits<float>::infinity();
+  ThreadPool& pool = ThreadPool::instance();
+  const int original = pool.threads();
+  for (const int threads : {1, 4}) {
+    pool.set_threads(threads);
+    const Tensor eager = model.forward(x, /*train=*/false);
+    const Tensor dense = serve::compile(model, {in}, ExecMode::Dense).forward(x);
+    EXPECT_EQ(bit_mismatches(eager, dense), 0) << "threads " << threads;
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t o = 0; o < out; ++o) {
+        EXPECT_EQ(std::isnan(eager(i, o)), i == 3 || i == 11)
+            << "sample " << i << " output " << o << " threads " << threads;
+      }
+    }
+  }
+  pool.set_threads(original);
+}
 
-// C = op(A)·op(B) + beta·C, beta 0 or 1: the dispatched gemm in a fused
-// build, else the scalar block kernel on op(A) and op(B) copied out
-// row-major — the arithmetic the direct kernels must reproduce.
+// C = op(A)·op(B) + beta·C, beta 0 or 1: each element starts at +0.0
+// (beta 0) or its current value (beta 1) and takes one multiply-add per
+// k in ascending order, every term multiplied — the chain the direct
+// kernels must reproduce.
 void reference_product(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                        const float* a, int64_t lda, const float* b, int64_t ldb, float beta,
                        float* c, int64_t ldc) {
-  if (kFusedBuild) {
-    gemm(trans_a, trans_b, m, n, k, 1.0f, a, lda, b, ldb, beta, c, ldc);
-    return;
-  }
-  std::vector<float> pa(static_cast<size_t>(m * k)), pb(static_cast<size_t>(k * n));
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t p = 0; p < k; ++p) pa[i * k + p] = trans_a ? a[p * lda + i] : a[i * lda + p];
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = beta == 0.0f ? 0.0f : c[i * ldc + j];
+      for (int64_t p = 0; p < k; ++p) {
+        acc = testing::madd(acc, trans_a ? a[p * lda + i] : a[i * lda + p],
+                            trans_b ? b[j * ldb + p] : b[p * ldb + j]);
+      }
+      c[i * ldc + j] = acc;
+    }
   }
-  for (int64_t p = 0; p < k; ++p) {
-    for (int64_t j = 0; j < n; ++j) pb[p * n + j] = trans_b ? b[j * ldb + p] : b[p * ldb + j];
-  }
-  if (beta == 0.0f) {
-    for (int64_t i = 0; i < m; ++i) std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-  }
-  simd::block_kernel(simd::Level::Scalar)(m, n, k, pa.data(), k, pb.data(), n, c, ldc);
 }
 
 struct ConvGrads {
@@ -462,7 +480,7 @@ struct ConvGrads {
 };
 
 // Conv backward in the column formulation: dW from the column matrix via
-// the trans_b GEMM, starting from dw0 (nullptr: zeros), dX from the full
+// the trans_b product, starting from dw0 (nullptr: zeros), dX from the full
 // dcols product scattered with a col2im that bounds-tests every element.
 // Same reductions in the same order as Conv2d::backward, so the layer
 // must match it bit for bit.
@@ -546,9 +564,8 @@ TEST(ConvLowering, DirectBackwardBitMatchesColumnFormulation) {
   // 1/3/5, strides 1/2/3, padding up to one past k/2 (taps that read only
   // padding included), planes 1-20, batches 1/7/64. Weights hold masked
   // +0 entries and -0.0, dY holds -0.0 and positions that are +0 across
-  // every channel (the column-skip case of the GEMM the reference runs),
-  // and the weight gradient starts from nonzero values and -0.0, so dW
-  // must continue each element's chain from its current value.
+  // every channel, and the weight gradient starts from nonzero values and
+  // -0.0, so dW must continue each element's chain from its current value.
   Rng rng(2202);
   const int64_t channels[] = {1, 3, 5, 8, 17, 33};
   const int64_t batches[] = {1, 7, 64};
@@ -606,20 +623,11 @@ TEST(ConvLowering, DirectBackwardBitMatchesColumnFormulation) {
                                  std::to_string(w) + " out_c " + std::to_string(out_c) +
                                  " batch " + std::to_string(n);
           EXPECT_EQ(bit_mismatches(dx, ref.dx), 0) << "dX at " << at;
-          // The one difference the contract (conv2d.hpp) allows: a dW
-          // element that starts at -0.0 and whose every product is a zero
-          // ends +0 on the direct path, which adds the +0 products the
-          // GEMM skipped, where the GEMM kept -0.0.
-          int64_t dw_bad = 0;
+          EXPECT_EQ(bit_mismatches(dw, ref.dw), 0) << "dW at " << at;
           for (int64_t k = 0; k < dw.numel(); ++k) {
-            const float got = dw.data()[k], want = ref.dw.data()[k], init = dw0.data()[k];
-            const bool from_neg_zero = init == 0.0f && std::signbit(init);
-            zero_chains += from_neg_zero && got == 0.0f && !std::signbit(got);
-            if (std::memcmp(&got, &want, sizeof(float)) == 0) continue;
-            dw_bad += !(from_neg_zero && got == 0.0f && !std::signbit(got) && want == 0.0f &&
-                        std::signbit(want));
+            const float got = dw.data()[k], init = dw0.data()[k];
+            zero_chains += init == 0.0f && std::signbit(init) && got == 0.0f && !std::signbit(got);
           }
-          EXPECT_EQ(dw_bad, 0) << "dW at " << at;
           if (bias) {
             EXPECT_EQ(bit_mismatches(conv.bias()->grad, ref.db), 0) << "bias at " << at;
           }
@@ -628,9 +636,8 @@ TEST(ConvLowering, DirectBackwardBitMatchesColumnFormulation) {
     }
   }
   EXPECT_GE(geometries, 120);
-  // Taps that read only padding make all-zero chains from -0.0, so the
-  // allowance above is reachable. Whether the reference kept -0.0 there
-  // depends on which products its tier's kernel skipped.
+  // Taps that read only padding make all-zero chains from -0.0, which end
+  // +0.0 once a +0.0 product is added (conv2d.hpp): that edge is covered.
   EXPECT_GT(zero_chains, 0);
 }
 
@@ -859,11 +866,10 @@ TEST(ConvLowering, FusedReluBitMatchesUnfused) {
   }
 }
 
-// The GEMM lowering of the dense eval conv, one sample at a time: im2col,
-// gemm, the bias (either form) and the ReLU — the arithmetic, in the
-// order, that both of conv2d_eval's direct kernels must reproduce on
-// finite inputs (in a build that does not fuse multiply-adds, the scalar
-// tier's).
+// The column lowering of the dense eval conv, one sample at a time:
+// im2col, W · cols, the bias (either form) and the ReLU — the
+// arithmetic, in the order, that both of conv2d_eval's direct kernels
+// must reproduce.
 Tensor column_dense_conv(const Tensor& x, const ConvGeometry& g, const Tensor& w, ConvBias bias,
                          bool relu) {
   const int64_t n = x.size(0), out_c = w.size(0), spatial = g.col_cols();
@@ -873,13 +879,8 @@ Tensor column_dense_conv(const Tensor& x, const ConvGeometry& g, const Tensor& w
   for (int64_t i = 0; i < n; ++i) {
     im2col_ld(g, x.data() + i * image, cols.data(), spatial);
     float* yi = y.data() + i * out_c * spatial;
-    if (kFusedBuild) {
-      gemm(false, false, out_c, spatial, g.col_rows(), 1.0f, w.data(), g.col_rows(), cols.data(),
-           spatial, 0.0f, yi, spatial);
-    } else {
-      simd::block_kernel(simd::Level::Scalar)(out_c, spatial, g.col_rows(), w.data(),
-                                              g.col_rows(), cols.data(), spatial, yi, spatial);
-    }
+    reference_product(false, false, out_c, spatial, g.col_rows(), w.data(), g.col_rows(),
+                      cols.data(), spatial, 0.0f, yi, spatial);
     for (int64_t o = 0; o < out_c; ++o) {
       float* dst = yi + o * spatial;
       for (int64_t sp = 0; sp < spatial; ++sp) {
@@ -904,9 +905,8 @@ TEST(ConvLowering, DirectDenseConvBitMatchesColumnLowering) {
   // cycle their out channels through 1 to 13: every remainder of the wide
   // kernel's out-channel blocks (up to 4 channels) after none to three
   // full ones, under each bias form and ReLU. Inputs and weights are
-  // finite with -0.0 sprinkled in, and whole weight columns are +0 (the
-  // GEMM skips those, the direct kernels multiply them): on finite inputs
-  // the bits may not differ.
+  // finite with -0.0 sprinkled in, and whole weight columns are +0, which
+  // the kernels and the reference multiply alike: the bits may not differ.
   Rng rng(2101);
   const auto pick = [&](int64_t lo, int64_t hi) { return lo + rng.randint(hi - lo + 1); };
   const auto sprinkle = [&](Tensor& t) {

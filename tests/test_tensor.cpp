@@ -1,5 +1,5 @@
 // Unit and property tests for the tensor substrate: Tensor, ops, Rng,
-// GEMM, im2col, and serialization.
+// im2col, and serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -217,79 +216,6 @@ TEST(Rng, FillBernoulli) {
   Tensor t({10000});
   rng.fill_bernoulli(t, 0.3);
   EXPECT_NEAR(ops::mean(t), 0.3f, 0.02f);
-}
-
-// ---- GEMM ----
-
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
-  const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  Tensor c({m, n});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      double s = 0;
-      for (int64_t p = 0; p < k; ++p) s += static_cast<double>(a(i, p)) * b(p, j);
-      c(i, j) = static_cast<float>(s);
-    }
-  }
-  return c;
-}
-
-class GemmSizes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(GemmSizes, MatchesNaive) {
-  const auto [m, n, k] = GetParam();
-  Rng rng(m * 10007 + n * 101 + k);
-  Tensor a({m, k}), b({k, n});
-  rng.fill_normal(a, 0.0f, 1.0f);
-  rng.fill_normal(b, 0.0f, 1.0f);
-  EXPECT_TRUE(ops::allclose(matmul(a, b), naive_matmul(a, b), 1e-3f, 1e-3f));
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, GemmSizes,
-                         ::testing::Values(std::tuple{1, 1, 1}, std::tuple{3, 5, 7},
-                                           std::tuple{17, 9, 33}, std::tuple{64, 64, 64},
-                                           std::tuple{100, 3, 300}, std::tuple{65, 257, 300},
-                                           std::tuple{128, 130, 257}));
-
-TEST(Gemm, TransposedVariants) {
-  Rng rng(77);
-  Tensor a({6, 4}), b({6, 5});
-  rng.fill_normal(a, 0.0f, 1.0f);
-  rng.fill_normal(b, 0.0f, 1.0f);
-  // a^T b == naive on explicit transpose
-  Tensor at({4, 6});
-  for (int64_t i = 0; i < 6; ++i) {
-    for (int64_t j = 0; j < 4; ++j) at(j, i) = a(i, j);
-  }
-  EXPECT_TRUE(ops::allclose(matmul_tn(a, b), naive_matmul(at, b), 1e-4f, 1e-4f));
-
-  Tensor c({3, 4}), d({5, 4});
-  rng.fill_normal(c, 0.0f, 1.0f);
-  rng.fill_normal(d, 0.0f, 1.0f);
-  Tensor dt({4, 5});
-  for (int64_t i = 0; i < 5; ++i) {
-    for (int64_t j = 0; j < 4; ++j) dt(j, i) = d(i, j);
-  }
-  EXPECT_TRUE(ops::allclose(matmul_nt(c, d), naive_matmul(c, dt), 1e-4f, 1e-4f));
-}
-
-TEST(Gemm, BetaAccumulates) {
-  Tensor a({2, 2}, {1, 0, 0, 1});
-  Tensor b({2, 2}, {1, 2, 3, 4});
-  Tensor c({2, 2}, {10, 10, 10, 10});
-  gemm(false, false, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 1.0f, c.data(), 2);
-  EXPECT_EQ(c(0, 0), 11.0f);
-  EXPECT_EQ(c(1, 1), 14.0f);
-}
-
-TEST(Gemm, AlphaScalesAndInnerMismatchThrows) {
-  Tensor a({2, 3}), b({4, 2});
-  EXPECT_THROW(matmul(a, b), std::invalid_argument);
-  Tensor i2({2, 2}, {1, 0, 0, 1});
-  Tensor x({2, 2}, {1, 2, 3, 4});
-  Tensor c({2, 2});
-  gemm(false, false, 2, 2, 2, 2.5f, i2.data(), 2, x.data(), 2, 0.0f, c.data(), 2);
-  EXPECT_EQ(c(0, 1), 5.0f);
 }
 
 // ---- im2col ----

@@ -1,7 +1,7 @@
 // Thread-pool runtime tests: partition exactness, the serial fast paths,
 // nesting and SerialGuard behaviour, exception propagation, pool
 // reconfiguration, and bit-determinism of the parallelised tensor
-// primitives (elementwise ops, GEMM, im2col/col2im) across thread counts.
+// primitives (elementwise ops, Linear, im2col/col2im) across thread counts.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "nn/linear.hpp"
 #include "obs/telemetry.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -179,39 +179,32 @@ TEST_F(PoolFixture, ElementwiseOpsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(PoolFixture, GemmBitIdenticalAcrossThreadCounts) {
-  // Large enough that the block grid forms several chunks per pool size.
-  const int64_t m = 130, n = 300, k = 190;
-  const Tensor a = random_tensor({m, k}, 5);
-  const Tensor b = random_tensor({k, n}, 6);
-
-  ThreadPool::instance().set_threads(1);
-  const Tensor serial = matmul(a, b);
-  const Tensor serial_tn = matmul_tn(random_tensor({k, m}, 8), b);
-  for (const int threads : {2, 3, 4}) {
-    ThreadPool::instance().set_threads(threads);
-    EXPECT_TRUE(same_bits(serial, matmul(a, b))) << "threads=" << threads;
-    EXPECT_TRUE(same_bits(serial_tn, matmul_tn(random_tensor({k, m}, 8), b)))
-        << "threads=" << threads;
-  }
-}
-
-TEST_F(PoolFixture, GemmBetaPathBitIdenticalAcrossThreadCounts) {
-  const int64_t m = 96, n = 257, k = 64;
-  const Tensor a = random_tensor({m, k}, 9);
-  const Tensor b = random_tensor({k, n}, 10);
-  const Tensor c0 = random_tensor({m, n}, 11);
-
-  const auto accumulate = [&] {
-    Tensor c = c0;
-    gemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, 0.25f, c.data(), n);
-    return c;
+TEST_F(PoolFixture, LinearBitIdenticalAcrossThreadCounts) {
+  // Large enough that every product's row blocks form several chunks
+  // per pool size: forward (bias seed), dW (continuing a nonzero grad)
+  // and dX (from +0.0).
+  const int64_t n = 130, in = 190, out = 300;
+  const Tensor x = random_tensor({n, in}, 5);
+  const Tensor dy = random_tensor({n, out}, 6);
+  const auto step = [&] {
+    Linear fc("fc", in, out);
+    fc.weight().data = random_tensor({out, in}, 7);
+    fc.bias()->data = random_tensor({out}, 8);
+    fc.weight().grad = random_tensor({out, in}, 9);
+    std::vector<Tensor> r{fc.forward(x, /*train=*/true)};
+    r.push_back(fc.backward(dy));
+    r.push_back(fc.weight().grad);
+    r.push_back(fc.bias()->grad);
+    return r;
   };
   ThreadPool::instance().set_threads(1);
-  const Tensor serial = accumulate();
-  for (const int threads : {2, 4}) {
+  const std::vector<Tensor> serial = step();
+  for (const int threads : {2, 3, 4}) {
     ThreadPool::instance().set_threads(threads);
-    EXPECT_TRUE(same_bits(serial, accumulate())) << "threads=" << threads;
+    const std::vector<Tensor> got = step();
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(same_bits(serial[i], got[i])) << "threads=" << threads << " result " << i;
+    }
   }
 }
 

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "tensor/gemm.hpp"
+#include "nn/linear.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/workspace.hpp"
 
@@ -124,19 +124,27 @@ TEST_F(WorkspaceFixture, ReleaseWithLiveScopeThrows) {
   EXPECT_THROW(Workspace::tls().release(), std::logic_error);
 }
 
-TEST_F(WorkspaceFixture, RepeatedGemmCallsReachSteadyState) {
+TEST_F(WorkspaceFixture, RepeatedLinearStepsReachSteadyState) {
+  // Linear's forward stages W^T in the arena; its backward reads dY, x and
+  // W in place. After one warm-up step, neither may grow or leak.
   Workspace& ws = Workspace::tls();
   Rng rng(11);
-  Tensor a({64, 300}), b({300, 128});
-  rng.fill_normal(a, 0, 1);
-  rng.fill_normal(b, 0, 1);
-  (void)matmul(a, b);  // warm-up
+  Linear fc("fc", 300, 128);
+  rng.fill_normal(fc.weight().data, 0, 1);
+  Tensor x({64, 300}), dy({64, 128});
+  rng.fill_normal(x, 0, 1);
+  rng.fill_normal(dy, 0, 1);
+  const auto step = [&] {
+    (void)fc.forward(x, /*train=*/true);
+    (void)fc.backward(dy);
+  };
+  step();  // warm-up
   const int64_t grows = ws.grow_count();
   const size_t cap = ws.capacity();
-  for (int i = 0; i < 5; ++i) (void)matmul(a, b);
-  EXPECT_EQ(ws.grow_count(), grows) << "gemm grew the arena after warm-up";
+  for (int i = 0; i < 5; ++i) step();
+  EXPECT_EQ(ws.grow_count(), grows) << "Linear grew the arena after warm-up";
   EXPECT_EQ(ws.capacity(), cap);
-  EXPECT_EQ(ws.in_use(), 0u) << "gemm leaked arena scratch";
+  EXPECT_EQ(ws.in_use(), 0u) << "Linear leaked arena scratch";
 }
 
 }  // namespace
